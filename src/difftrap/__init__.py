@@ -21,7 +21,6 @@ from .constants import (
     TrapCertificate,
     constants,
     constants_at_stage,
-    derivation_matrix,
     kolchin_crosscheck,
     p_basis_of_constants_root,
     trap_up_to,

@@ -7,7 +7,7 @@ d_i(w).  An element sum_w c_w^p w is a constant exactly when, for every
 column v and every derivation, sum_w c_w * delta_{w,v} = 0; the p-th powers
 collapse because Frobenius is injective.  The constants field is therefore
 the joint kernel of the stacked transposed derivation matrices, computed by
-exact fraction-free elimination, and M is differentially perfect exactly
+exact elimination over the field, and M is differentially perfect exactly
 when that kernel is spanned by the coordinate vector of the monomial 1.
 
 ``trap_up_to`` realizes the truncated almost-perfectness check: extract a
@@ -36,15 +36,6 @@ from .pdecomp import all_pmonomials, frobenius_inverse, is_pth_power, p_decompos
 from .presentation import OPAQUE, DiffPresentation, derive, derive_word
 from .rational import RationalElement
 from .verdict import Verdict
-
-
-@dataclass
-class DerivationMatrix:
-    """Coordinates of d_i on the p-monomial basis: d_i w = sum_v m[w][v]^p v."""
-
-    derivation: int
-    pmonomials: list
-    rows: dict
 
 
 @dataclass
@@ -89,18 +80,6 @@ def _check_pmonomial_cap(pres, config):
         raise SizeCapError(
             f"{pres.name!r} has {count} p-monomials, cap {cap}"
         )
-
-
-def derivation_matrix(pres, i, config=None):
-    """The coordinate matrix of d_i on the p-monomials of the presentation."""
-    config = config or default_config()
-    _check_pmonomial_cap(pres, config)
-    pmons = all_pmonomials(pres.p, pres.vars)
-    rows = {}
-    for w in pmons:
-        image = derive(w.as_element(), i, pres)
-        rows[w] = p_decompose(image, pres.vars)
-    return DerivationMatrix(derivation=i, pmonomials=pmons, rows=rows)
 
 
 def constants(pres, config=None):
@@ -179,9 +158,7 @@ def _constants_kernel(pres, working, config, frontier):
             for v, coeff in decomp.coords.items():
                 row = condition_rows.setdefault((i, v), [zero] * len(pmons))
                 row[index[w]] = coeff
-    matrix = FFMatrix(p, list(condition_rows.values()))
-    if matrix.nrows == 0:
-        matrix = FFMatrix(p, [[zero] * len(pmons)])
+    matrix = FFMatrix(p, list(condition_rows.values()), ncols=len(pmons))
     vectors = kernel(matrix)
     # the column of the monomial 1 is never constrained, so the first
     # echelonized kernel vector is the element 1

@@ -49,6 +49,12 @@ class InapplicableError(WorkbenchError):
     kind = "INAPPLICABLE"
 
 
+class ZeroDenominatorError(WorkbenchError):
+    """A denominator vanished when values were substituted into it."""
+
+    kind = "ZERO_DENOMINATOR"
+
+
 class InexactDivisionError(WorkbenchError):
     """Internal invariant violation: a division expected to be exact was not."""
 

@@ -30,7 +30,7 @@ from itertools import product
 import numpy as np
 
 from .errors import PreconditionError, SizeCapError
-from .linalg import FFMatrix, dependence_witness, kernel_mod_p, rank
+from .linalg import Echelon, FFMatrix, dependence_witness, kernel_mod_p, rank
 from .pdecomp import all_pmonomials, p_decompose, pth_root_tower
 from .poly import Poly, exact_div
 from .rational import RationalElement, common_denominator, partial
@@ -68,6 +68,10 @@ class BaseSpec:
 # -- coordinates over the p-th powers ---------------------------------------
 
 
+def _exponents(w, var_order):
+    return tuple(w.exponent_of(v) for v in var_order)
+
+
 def coordinate_rows(elements, ambient):
     """Coordinate matrix of elements over E^p, columns labeled by p-monomials.
 
@@ -80,9 +84,7 @@ def coordinate_rows(elements, ambient):
     occurring = set()
     for d in decomps:
         occurring.update(d.coords)
-    columns = sorted(
-        occurring, key=lambda w: tuple(w.exponent_of(v) for v in var_order)
-    )
+    columns = sorted(occurring, key=lambda w: _exponents(w, var_order))
     zero = RationalElement.zero(p)
     rows = [[d.coords.get(w, zero) for w in columns] for d in decomps]
     return FFMatrix(p, rows, col_labels=[str(w) for w in columns])
@@ -117,17 +119,13 @@ def linear_independent_over_pk(v, base, ambient, config=None):
         raise SizeCapError(
             f"base spans {p ** len(base.generators)} p-monomials, cap {cap}"
         )
-    base_monomials = _pmonomials_of(base.generators, p)
+    var_order = list(ambient.vars)
+    span = Echelon(p)
     u_elems = []
-    u_rows = []
-    u_rank = 0
-    for _, term in base_monomials:
-        if term.is_zero():
-            continue
-        trial = coordinate_rows(u_elems + [term], ambient)
-        if rank(trial) > u_rank:
+    for _, term in _pmonomials_of(base.generators, p):
+        coords = p_decompose(term, var_order).coords
+        if span.add_row({_exponents(w, var_order): c for w, c in coords.items()}):
             u_elems.append(term)
-            u_rank += 1
     products = []
     labels = []
     for x in v:
@@ -270,14 +268,11 @@ def certified_trdeg(elements, ambient, config=None):
     if not elements:
         return 0, True, {"jacobian_rank": 0, "basis": [], "annihilators": []}
     closed, added = root_closure(elements, ambient, config)
-    selected = []
-    sel_rows = []
+    span = Echelon(ambient.p)
     j = jacobian(closed, ambient)
-    for idx, e in enumerate(closed):
-        trial = FFMatrix(ambient.p, sel_rows + [j.rows[idx]])
-        if rank(trial) > len(sel_rows):
-            selected.append(e)
-            sel_rows.append(j.rows[idx])
+    selected = [
+        e for e, row in zip(closed, j.rows) if span.add_row(dict(enumerate(row)))
+    ]
     r = len(selected)
     details = {
         "jacobian_rank": r,

@@ -1,14 +1,17 @@
-"""Fraction-free exact linear algebra over rational function fields.
+"""Exact linear algebra over rational function fields.
 
-Rank and kernel work on matrices of :class:`RationalElement` entries.  Each
-row is first scaled by the least common multiple of its denominators (row
-scaling changes neither rank nor right kernel), producing a polynomial
-matrix that Bareiss single-step elimination keeps fraction-free: every
-intermediate entry is a minor determinant and each division is exact.
+Rank, kernel and dependence witnesses work on matrices of
+:class:`RationalElement` entries through one incremental row echelon form,
+:class:`Echelon`.  Rows are kept sparse, as ``{column: nonzero entry}``; a
+new row is reduced against the pivot rows kept so far in ascending column
+order, and kept with its leading entry scaled to 1 when anything is left.
+Elimination happens in the field, so entries are canonical reduced
+fractions throughout.
 
-Pivoting is deterministic (first nonzero entry in row-major scan column by
-column) so the echelonized kernel bases, and hence all certificates built
-from them, are reproducible.
+The pivot columns (each column that is not in the span of the columns
+before it) and the reduced kernel basis (1 at its free column, 0 at the
+other free columns) are determined by the matrix alone, not by how it is
+eliminated, so all certificates built from them are reproducible.
 
 ``kernel_mod_p`` is the small dense mod-p solver used by the bounded
 annihilator oracle; the systems there have scalar entries, so numpy
@@ -18,21 +21,26 @@ row operations carry the elimination.
 import numpy as np
 
 from .errors import BadParameterError
-from .poly import Poly, exact_div
-from .rational import RationalElement, common_denominator
+from .rational import RationalElement
 
 
 class FFMatrix:
-    """A rectangular matrix of canonical RationalElement entries."""
+    """A rectangular matrix of canonical RationalElement entries.
 
-    def __init__(self, p, rows, row_labels=None, col_labels=None):
+    ``ncols`` is taken from the rows unless given; pass it whenever the
+    matrix may have no rows.
+    """
+
+    def __init__(self, p, rows, row_labels=None, col_labels=None, ncols=None):
         self.p = p
         self.rows = [list(r) for r in rows]
-        ncols = {len(r) for r in self.rows}
-        if len(ncols) > 1:
+        widths = {len(r) for r in self.rows}
+        if ncols is not None:
+            widths.add(ncols)
+        if len(widths) > 1:
             raise BadParameterError("ragged matrix")
         self.nrows = len(self.rows)
-        self.ncols = ncols.pop() if ncols else 0
+        self.ncols = widths.pop() if widths else 0
         self.row_labels = list(row_labels) if row_labels else None
         self.col_labels = list(col_labels) if col_labels else None
 
@@ -43,102 +51,103 @@ class FFMatrix:
         rows = [
             [self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)
         ]
-        return FFMatrix(self.p, rows, row_labels=self.col_labels, col_labels=self.row_labels)
+        return FFMatrix(
+            self.p,
+            rows,
+            row_labels=self.col_labels,
+            col_labels=self.row_labels,
+            ncols=self.nrows,
+        )
 
     def __repr__(self):
         return f"FFMatrix({self.nrows}x{self.ncols} over F_{self.p})"
 
 
-def _clear_rows(matrix):
-    """Per-row common denominators: polynomial rows spanning the same space."""
-    p = matrix.p
-    out = []
-    for row in matrix.rows:
-        if all(e.is_zero() for e in row):
-            out.append([Poly.zero(p) for _ in row])
-            continue
-        h = common_denominator([e for e in row if not e.is_zero()])
-        cleared = []
-        for e in row:
-            if e.is_zero():
-                cleared.append(Poly.zero(p))
-            else:
-                cleared.append(e.num * exact_div(h, e.den))
-        out.append(cleared)
-    return out
+class Echelon:
+    """Row echelon form over the rational function field, grown row by row.
 
-
-def _bareiss(matrix):
-    """Fraction-free row echelon form.
-
-    Returns (rows, pivots) where pivots is a list of (row, col) positions in
-    increasing row and column order.
+    Columns are sortable keys; ``kernel`` needs them to be ``0..ncols-1``.
+    Each kept row is stored by its pivot (leading) column, without the
+    implied leading 1, and has no entry at any column before its pivot.
     """
-    rows = _clear_rows(matrix)
-    nrows, ncols = matrix.nrows, matrix.ncols
-    p = matrix.p
-    prev = Poly.one(p)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if not rows[i][c].is_zero():
-                pivot_row = i
+
+    def __init__(self, p, ncols=0):
+        self.p = p
+        self.ncols = ncols
+        self._tails = {}
+
+    @property
+    def rank(self):
+        return len(self._tails)
+
+    def add_row(self, row):
+        """Reduce ``row`` (``{column: entry}``) against the pivots and keep
+        what is left; returns whether the rank went up."""
+        row = {c: e for c, e in row.items() if not e.is_zero()}
+        while True:
+            hit = [c for c in row if c in self._tails]
+            if not hit:
                 break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            if all(rows[i][j].is_zero() for j in range(c, ncols)):
+            c = min(hit)
+            _subtract(row, row.pop(c), self._tails[c])
+        if not row:
+            return False
+        lead = min(row)
+        inv = row.pop(lead).inverse()
+        self._tails[lead] = {j: e * inv for j, e in row.items()}
+        return True
+
+    def kernel(self):
+        """Basis of the right kernel, one vector per free column, with 1 at
+        that column and 0 at the other free columns."""
+        zero = RationalElement.zero(self.p)
+        one = RationalElement.one(self.p)
+        reduced = {}
+        for c in sorted(self._tails, reverse=True):
+            tail = dict(self._tails[c])
+            for j in [j for j in tail if j in reduced]:
+                _subtract(tail, tail.pop(j), reduced[j])
+            reduced[c] = tail
+        basis = []
+        for f in range(self.ncols):
+            if f in reduced:
                 continue
-            head = rows[i][c]
-            for j in range(c + 1, ncols):
-                rows[i][j] = exact_div(piv * rows[i][j] - head * rows[r][j], prev)
-            rows[i][c] = Poly.zero(p)
-        prev = piv
-        pivots.append((r, c))
-        r += 1
-    return rows, pivots
+            v = [zero] * self.ncols
+            v[f] = one
+            for c, tail in reduced.items():
+                if f in tail:
+                    v[c] = -tail[f]
+            basis.append(v)
+        return basis
+
+
+def _subtract(row, x, other):
+    """row -= x * other, in place, keeping only nonzero entries."""
+    for j, e in other.items():
+        y = row[j] - x * e if j in row else -(x * e)
+        if y.is_zero():
+            del row[j]
+        else:
+            row[j] = y
+
+
+def _echelon(matrix):
+    span = Echelon(matrix.p, matrix.ncols)
+    for row in matrix.rows:
+        span.add_row(dict(enumerate(row)))
+    return span
 
 
 def rank(matrix):
     """Rank over the rational function field."""
-    _, pivots = _bareiss(matrix)
-    return len(pivots)
+    return _echelon(matrix).rank
 
 
 def kernel(matrix):
-    """Echelonized basis of the right kernel; every vector re-verified.
-
-    Each basis vector has entry 1 at its free column and 0 at the other free
-    columns; pivot coordinates come from back substitution in the field.
-    """
-    p = matrix.p
-    rows, pivots = _bareiss(matrix)
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(matrix.ncols) if c not in pivot_cols]
-    basis = []
-    zero = RationalElement.zero(p)
-    one = RationalElement.one(p)
-    for fc in free_cols:
-        v = [zero] * matrix.ncols
-        v[fc] = one
-        for r, c in reversed(pivots):
-            if c > fc:
-                continue
-            s = zero
-            for j in range(c + 1, matrix.ncols):
-                if rows[r][j].is_zero() or v[j].is_zero():
-                    continue
-                s = s + RationalElement(rows[r][j]) * v[j]
-            v[c] = -s / RationalElement(rows[r][c])
+    """Reduced basis of the right kernel; every vector re-verified."""
+    basis = _echelon(matrix).kernel()
+    for v in basis:
         _verify_in_kernel(matrix, v)
-        basis.append(v)
     return basis
 
 
@@ -163,19 +172,16 @@ def dependence_witness(rows, p=None):
     if not rows:
         return None
     if p is None:
-        for r in rows:
-            for e in r:
-                p = e.p
-                break
-            if p is not None:
-                break
-    m = FFMatrix(p, rows)
-    basis = kernel(m.transpose())
+        p = next(e.p for r in rows for e in r)
+    span = Echelon(p, len(rows))
+    for j in range(len(rows[0])):
+        span.add_row({i: r[j] for i, r in enumerate(rows)})
+    basis = span.kernel()
     if not basis:
         return None
     witness = basis[0]
     zero = RationalElement.zero(p)
-    for j in range(m.ncols):
+    for j in range(len(rows[0])):
         s = zero
         for c, row in zip(witness, rows):
             if c.is_zero() or row[j].is_zero():

@@ -6,7 +6,7 @@ and zero is ``0/1``.  Canonical form is unique, so structural equality (and
 hashing) decides equality of field elements everywhere downstream.
 """
 
-from .errors import BadParameterError, UnknownVariableError
+from .errors import BadParameterError, UnknownVariableError, ZeroDenominatorError
 from .poly import Poly, exact_div, formal_partial, gcd, lcm, monic
 
 
@@ -268,7 +268,7 @@ def substitute(f, mapping):
     """Evaluate f with each variable replaced by a RationalElement.
 
     Raises UnknownVariableError when f mentions a variable missing from the
-    mapping, and ZeroDivisionError when the denominator collapses to zero.
+    mapping, and ZeroDenominatorError when the denominator collapses to zero.
     """
     p = f.p
     missing = f.variables() - set(mapping)
@@ -277,7 +277,7 @@ def substitute(f, mapping):
     num = _substitute_poly(f.num, mapping, p)
     den = _substitute_poly(f.den, mapping, p)
     if den.is_zero():
-        raise ZeroDivisionError("denominator vanishes under substitution")
+        raise ZeroDenominatorError("denominator vanishes under substitution")
     return num / den
 
 

@@ -4,7 +4,6 @@ from difftrap import (
     SubfieldDecl,
     constants,
     constants_at_stage,
-    derivation_matrix,
     derive,
     kolchin_crosscheck,
     p_basis_of_constants_root,
@@ -58,18 +57,6 @@ def test_constants_requires_defined_images():
             presentation("P", 2, {v: "0" for v in "abcde"}),
             EngineConfig(pmonomial_cap_exponent=4),
         )
-
-
-def test_derivation_matrix_identity():
-    # reconstruct d(w) from the matrix row and compare with derive(w)
-    pres = presentation("P", 2, {"a": "a^3", "b": "b^5"})
-    dm = derivation_matrix(pres, 0)
-    for w in dm.pmonomials:
-        image = derive(w.as_element(), 0, pres)
-        assert dm.rows[w].reconstruct() == image
-    # the row of the monomial 1 is zero
-    one = dm.pmonomials[0]
-    assert str(one) == "1" and dm.rows[one].coords == {}
 
 
 def test_p_basis_root_extraction():

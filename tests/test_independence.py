@@ -46,6 +46,9 @@ def test_linear_independent_spec_examples(exy):
     assert v.is_false
     assert verify_plinear_witness(v, exy)
     assert linear_independent_over_pk([exy.parse("1")], BaseSpec([]), exy).is_true
+    v = linear_independent_over_pk([exy.parse("0")], BaseSpec([]), exy)
+    assert v.is_false and verify_plinear_witness(v, exy)
+    assert [part["gamma"] for part in v.certificate["combination"]] == ["1"]
     eab = presentation("E2", 2, {"a": "1", "b": "0"})
     v = linear_independent_over_pk(
         [eab.parse("1"), eab.parse("a"), eab.parse("b")], BaseSpec([]), eab

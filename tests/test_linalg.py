@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from difftrap import parse_expr
-from difftrap.linalg import FFMatrix, dependence_witness, kernel, kernel_mod_p, rank
+from difftrap.linalg import (
+    Echelon,
+    FFMatrix,
+    dependence_witness,
+    kernel,
+    kernel_mod_p,
+    rank,
+)
 from difftrap.rational import RationalElement
 
 from conftest import random_element
@@ -31,6 +38,27 @@ def test_rank_spec_example():
 def test_rank_trivial():
     assert rank(M(3, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])) == 3
     assert rank(M(3, [["0", "0"], ["0", "0"]])) == 0
+    zero = E(3, "0")
+    for nrows, ncols in ((0, 0), (0, 3), (3, 0), (2, 3), (3, 2)):
+        m = FFMatrix(3, [[zero] * ncols for _ in range(nrows)], ncols=ncols)
+        assert (m.nrows, m.ncols) == (nrows, ncols)
+        assert (m.transpose().nrows, m.transpose().ncols) == (ncols, nrows)
+        assert rank(m) == 0
+        assert rank(m) + len(kernel(m)) == ncols
+
+
+def test_rank_bernoulli_shaped_diagonal():
+    # the constants matrix of bernoulli-pair(7,1,1): 48 x 49, one nonzero per
+    # row, the column of the monomial 1 unconstrained
+    p = 7
+    rows = []
+    for i in range(48):
+        row = [E(p, "0")] * 49
+        row[i + 1] = E(p, f"{i % 6 + 1}*a^{i % 7}*b^{i // 7}")
+        rows.append(row)
+    m = FFMatrix(p, rows)
+    assert rank(m) == 48
+    assert kernel(m) == [[E(p, "1")] + [E(p, "0")] * 48]
 
 
 def test_kernel_examples():
@@ -64,6 +92,7 @@ def test_dependence_witness():
         total = [t + c * e for t, e in zip(total, row)]
     assert all(t.is_zero() for t in total)
     assert dependence_witness([[E(2, "1"), E(2, "0")], [E(2, "0"), E(2, "1")]], p=2) is None
+    assert dependence_witness([[]], p=2) == [E(2, "1")]
 
 
 def test_rank_nullity(rng):
@@ -78,7 +107,22 @@ def test_rank_nullity(rng):
                     for _ in range(nrows)
                 ],
             )
-            assert rank(m) + len(kernel(m)) == ncols
+            basis = kernel(m)
+            assert rank(m) + len(basis) == ncols
+            span = Echelon(p, ncols)
+            for i, row in enumerate(m.rows):
+                grew = rank(FFMatrix(p, m.rows[: i + 1])) > rank(
+                    FFMatrix(p, m.rows[:i], ncols=ncols)
+                )
+                assert span.add_row(dict(enumerate(row))) == grew
+            # free columns: those not in the span of the columns before them
+            def prefix(k):
+                return FFMatrix(p, [row[:k] for row in m.rows], ncols=k)
+
+            free = [j for j in range(ncols) if rank(prefix(j + 1)) == rank(prefix(j))]
+            assert len(free) == len(basis)
+            for f, v in zip(free, basis):
+                assert [v[j] for j in free] == [E(p, "1" if j == f else "0") for j in free]
 
 
 def test_specialization_rank_crosscheck(rng):
@@ -136,7 +180,7 @@ def test_rank_on_constructed_rank_matrices(rng):
                 [random_element(rng, p, ["x", "y"], 2) for _ in range(ncols)]
                 for _ in range(r)
             ]
-            if rank(FFMatrix(p, seed_rows)) != r if r else False:
+            if rank(FFMatrix(p, seed_rows, ncols=ncols)) != r if r else False:
                 continue  # unlucky degenerate seed, skip
             rows = []
             for _ in range(nrows):
@@ -145,7 +189,7 @@ def test_rank_on_constructed_rank_matrices(rng):
                     c = random_element(rng, p, ["x"], 1)
                     acc = [a + c * e for a, e in zip(acc, s)]
                 rows.append(acc)
-            m = FFMatrix(p, rows)
+            m = FFMatrix(p, rows, ncols=ncols)
             assert rank(m) <= r
             assert rank(m) + len(kernel(m)) == ncols
 

@@ -120,6 +120,19 @@ def test_validation_failure_blocks_queries():
     assert report.results == []
 
 
+def test_vanishing_denominator_fails_validation(tmp_path, capsys):
+    text = MINIMAL + "field K\n  gens u\n  embed u -> x - x\n  d1 u = 1/u\nquery perfect K\n"
+    report = run(parse(text))
+    assert report.validation_failed and report.results == []
+    embedding = report.validation["embedding(K)"]
+    assert embedding["status"] == "FALSE"
+    assert embedding["certificate"]["kind"] == "ZERO_DENOMINATOR"
+    path = tmp_path / "zero.dt"
+    path.write_text(text)
+    assert cli_main(["run", str(path), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["validation"] == report.validation
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.dt"
     good.write_text(builtin_scenario("degenerate-base"))
