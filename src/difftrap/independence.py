@@ -10,14 +10,22 @@ Algebraic independence is genuinely one-sided in characteristic p.  The
 Jacobian certifies independence when it has full rank but can underestimate
 (d(x^p) = 0), and annihilator search is only exhaustive up to a degree
 bound, so results live in the TRUE / FALSE-with-witness / INCONCLUSIVE
-lattice rather than booleans.  Two completeness helpers keep the Jacobian
-honest without ever guessing:
+lattice rather than booleans.  Three helpers keep the Jacobian honest
+without ever guessing:
 
-* elements of a base set are replaced by their p-th roots whenever the root
-  exists in the ambient field, and roots of F_p-linear combinations of base
-  elements are adjoined ("root closure"); both moves are purely inseparable
-  and change no transcendence degree, but they expose generators the
-  Jacobian can see;
+* root closure adjoins the p-th roots hidden in F_p-linear combinations of
+  base elements.  The combinations that are p-th powers are exactly the
+  F_p-kernel of the Jacobian (d(x^p) = 0), and Frobenius is additive on them
+  (Ore's p-polynomials), so the roots of one kernel basis per pass span
+  all such roots; a root already in the F_p-affine span is not adjoined.
+  The move is purely inseparable and changes no transcendence degree, but
+  it exposes generators the Jacobian can see;
+* a base element may need ``r^p`` for an adjoined root r, a degree the
+  bounded search cannot reach (y - b1 - c*b2^p).  When the plain search
+  fails, one retry over the "twisted" base, the Jacobian basis plus the
+  p-th powers of its adjoined roots, searches from degree 1 up and finds
+  such a relation at degree 1; the witness lists that base, so it
+  re-verifies like any other;
 * a FALSE witness is accepted only when the annihilator stays nonzero after
   substituting the base values, which is exactly "the family satisfies a
   nonzero polynomial over the base field" and rules out spurious witnesses
@@ -26,13 +34,14 @@ honest without ever guessing:
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import comb
 
 import numpy as np
 
 from .errors import PreconditionError, SizeCapError
 from .linalg import Echelon, FFMatrix, dependence_witness, kernel_mod_p, rank
-from .pdecomp import all_pmonomials, p_decompose, pth_root_tower
-from .poly import Poly, exact_div
+from .pdecomp import frobenius_inverse, is_pth_power, p_decompose
+from .poly import exact_div
 from .rational import RationalElement, common_denominator, partial
 from .verdict import Verdict
 
@@ -42,7 +51,6 @@ class EngineConfig:
     degree_bound: int = 6
     pmonomial_cap_exponent: int = 4
     annihilator_cap: int = 200_000
-    root_closure_cap: int = 4096
     mixed_derivatives: bool = True
 
 
@@ -211,46 +219,126 @@ def jacobian(elements, ambient):
     return FFMatrix(ambient.p, rows, col_labels=list(ambient.vars))
 
 
-def root_closure(elements, ambient, config=None):
-    """Adjoin p-th roots of F_p-linear combinations of the elements.
+def _fp_relations(vectors, p):
+    """Basis of the F_p-linear relations among vectors of field elements.
 
-    Every adjoined root is purely inseparable over the field the elements
-    generate, so the transcendence degree is untouched while the Jacobian
-    gains rows it can actually see.  Returns (closed, added).
+    A relation is c in F_p^n with sum_i c_i * vectors[i][j] = 0 for every
+    coordinate j.  Each coordinate is cleared to polynomials by the common
+    denominator of its entries, every (coordinate, monomial) pair gives one
+    scalar equation, and ``kernel_mod_p`` solves the system; the basis is
+    its reduced one (1 at each free column).  A vector that is alone nonzero
+    at some coordinate has c_i = 0 in every relation; such vectors are
+    dropped first, which leaves the reduced basis as it is.
     """
-    config = config or default_config()
+    coords = range(len(vectors[0]) if vectors else 0)
+    live = list(range(len(vectors)))
+    while True:
+        supports = [[i for i in live if not vectors[i][j].is_zero()] for j in coords]
+        lone = {s[0] for s in supports if len(s) == 1}
+        if not lone:
+            break
+        live = [i for i in live if i not in lone]
+    if not live:
+        return []
+    row_index = {}
+    triplets = []
+    for j, support in zip(coords, supports):
+        if not support:
+            continue
+        denom = common_denominator([vectors[i][j] for i in support])
+        for col, i in enumerate(live):
+            value = vectors[i][j]
+            if value.is_zero():
+                continue
+            cleared = value.num * exact_div(denom, value.den)
+            for mono, c in cleared.terms.items():
+                row = row_index.setdefault((j, mono), len(row_index))
+                triplets.append((row, col, c))
+    a = np.zeros((len(row_index), len(live)), dtype=np.int64)
+    for row, col, c in triplets:
+        a[row, col] = c
+    basis = []
+    for v in kernel_mod_p(a, p):
+        full = np.zeros(len(vectors), dtype=np.int64)
+        full[live] = v
+        basis.append(full)
+    return basis
+
+
+def _combine(vector, elements, p):
+    total = RationalElement.zero(p)
+    for c, e in zip(vector, elements):
+        if c:
+            total = total + e * int(c)
+    return total
+
+
+def _in_affine_span(x, elements, p):
+    """Whether x is an F_p-combination of 1 and the elements."""
+    columns = [[RationalElement.one(p)]] + [[e] for e in elements] + [[x]]
+    return any(v[-1] for v in _fp_relations(columns, p))
+
+
+def _root_candidates(work, gradient, p):
+    """Roots of the F_p-combinations of ``work`` that are p-th powers.
+
+    Those combinations are the F_p-kernel of the Jacobian (d(x^p) = 0), and
+    Frobenius is additive on them, so the roots of one kernel basis span
+    the roots of them all.  While every root is itself a p-th power the
+    peeling goes one level deeper; it returns the first level at which some
+    root is not, the highest roots there.  Deeper levels are reached by the
+    next pass, once these roots are in ``work``.
+    """
+    level = work
+    while True:
+        relations = _fp_relations([gradient(e) for e in level], p)
+        powers = [_combine(v, level, p) for v in relations]
+        powers = [x for x in powers if not x.is_constant()]
+        if not powers:
+            return []
+        level = [frobenius_inverse(x) for x in powers]
+        if not all(is_pth_power(r) for r in level):
+            return level
+
+
+def root_closure(elements, ambient, gradients=None):
+    """Adjoin the p-th roots hidden in F_p-linear combinations of the elements.
+
+    Each pass takes the F_p-kernel of the Jacobian of the current list (the
+    combinations that are p-th powers) and adjoins the highest roots of its
+    combinations, skipping a root already in the F_p-affine span of 1 and
+    the list: such a root is a linear substitution and changes no bounded
+    degree polynomial.  At most eight passes.  Every adjoined root is purely
+    inseparable over the field the elements generate, so the transcendence
+    degree is untouched while the Jacobian gains rows it can actually see.
+    Returns (closed, added); ``gradients``, when given, is a dict that
+    receives the Jacobian row of every element of the closure.
+    """
     p = ambient.p
     work = []
     for e in elements:
         if e not in work:
             work.append(e)
     added = []
-    for e in list(work):
-        root, k = pth_root_tower(e)
-        if k and not root.is_constant() and root not in work:
-            work.append(root)
-            added.append(root)
+    if gradients is None:
+        gradients = {}
+
+    def gradient(e):
+        if e not in gradients:
+            gradients[e] = [partial(e, v) for v in ambient.vars]
+        return gradients[e]
+
     for _ in range(8):
-        n = len(work)
-        if p**n > config.root_closure_cap:
-            break
         changed = False
-        for vector in product(range(p), repeat=n):
-            nz = [i for i, c in enumerate(vector) if c]
-            if len(nz) < 2:
-                continue
-            comb = RationalElement.zero(p)
-            for i in nz:
-                comb = comb + work[i] * vector[i]
-            if comb.is_zero() or comb.is_constant():
-                continue
-            root, k = pth_root_tower(comb)
-            if k and not root.is_constant() and root not in work:
+        for root in _root_candidates(work, gradient, p):
+            if root not in work and not _in_affine_span(root, work, p):
                 work.append(root)
                 added.append(root)
                 changed = True
         if not changed:
             break
+    for e in added:  # the roots of an eighth pass that still changed
+        gradient(e)
     return work, added
 
 
@@ -261,18 +349,25 @@ def certified_trdeg(elements, ambient, config=None):
     root closure, always a sound lower bound; it is the exact degree when
     every input element outside the greedy Jacobian basis is proven
     algebraic over that basis by a verified annihilator within the degree
-    bound.
+    bound.  When the plain search fails, one retry adds the p-th powers of
+    the basis roots the closure adjoined ("twisted" base): a relation that
+    needs ``r^p`` for an adjoined root ``r`` then has low degree.  Its
+    witness is listed under ``twisted_witnesses`` with the base it uses.
     """
+    value, exact, details, _ = _certify(elements, ambient, config)
+    return value, exact, details
+
+
+def _certify(elements, ambient, config=None):
+    """``certified_trdeg`` plus the root closure it was computed on."""
     config = config or default_config()
     elements = list(elements)
     if not elements:
-        return 0, True, {"jacobian_rank": 0, "basis": [], "annihilators": []}
-    closed, added = root_closure(elements, ambient, config)
+        return 0, True, {"jacobian_rank": 0, "basis": [], "annihilators": []}, []
+    gradients = {}
+    closed, added = root_closure(elements, ambient, gradients)
     span = Echelon(ambient.p)
-    j = jacobian(closed, ambient)
-    selected = [
-        e for e, row in zip(closed, j.rows) if span.add_row(dict(enumerate(row)))
-    ]
+    selected = [e for e in closed if span.add_row(dict(enumerate(gradients[e])))]
     r = len(selected)
     details = {
         "jacobian_rank": r,
@@ -280,6 +375,14 @@ def certified_trdeg(elements, ambient, config=None):
         "closure_added": [str(e) for e in added],
         "annihilators": [],
     }
+    # the twisted retry counts its largest system, C(|base| + 1 + D, D)
+    # unknowns, before it runs; over the cap the element stays unproven
+    # instead of raising
+    twisted = selected + [s**ambient.p for s in selected if s in added]
+    bound = config.degree_bound
+    retry = len(twisted) > len(selected) and (
+        comb(len(twisted) + 1 + bound, bound) <= config.annihilator_cap
+    )
     exact = True
     for e in elements:
         if e in selected:
@@ -287,13 +390,21 @@ def certified_trdeg(elements, ambient, config=None):
         if e.is_constant():
             continue
         witness = find_annihilator([e], selected, ambient, config)
+        if witness is None and retry:
+            # lowest degree first: the relation the twist exposes is often linear
+            for degree in range(1, bound + 1):
+                witness = find_annihilator([e], twisted, ambient, config, degree)
+                if witness is not None:
+                    twisted_witnesses = details.setdefault("twisted_witnesses", [])
+                    twisted_witnesses.append(witness.to_jsonable())
+                    break
         if witness is None:
             exact = False
             details.setdefault("unproven", []).append(str(e))
         else:
             details["annihilators"].append(witness.rendered)
     details["exact"] = exact
-    return r, exact, details
+    return r, exact, details, closed
 
 
 @dataclass
@@ -412,18 +523,7 @@ def find_annihilator(f, base, ambient, config=None, degree=None):
             if k:
                 total = total * powed(e, k)
         values.append(total)
-    denom = common_denominator(values)
-    row_index = {}
-    triplets = []
-    for col, value in enumerate(values):
-        cleared = value.num * exact_div(denom, value.den)
-        for mono, c in cleared.terms.items():
-            row = row_index.setdefault(mono, len(row_index))
-            triplets.append((row, col, c))
-    a = np.zeros((max(len(row_index), 1), len(monomials)), dtype=np.int64)
-    for row, col, c in triplets:
-        a[row, col] = c
-    kernel_basis = kernel_mod_p(a, p)
+    kernel_basis = _fp_relations([[v] for v in values], p)
     base_values = {}
 
     def base_value(alpha):
@@ -510,10 +610,9 @@ def trdeg(f, base, ambient, config=None, degree=None):
                     note=f"family member {idx + 1} is the scalar {e}",
                 ),
             )
-    t_base, base_exact, base_details = certified_trdeg(
+    t_base, base_exact, base_details, closed_base = _certify(
         base.generators, ambient, config
     )
-    closed_base, _ = root_closure(base.generators, ambient, config)
     r_joint = rank(jacobian(closed_base + f, ambient))
     lower = max(0, r_joint - (t_base if base_exact else len(base.generators)))
     if base_exact and r_joint == t_base + len(f):

@@ -14,6 +14,7 @@ from difftrap import (
     BaseSpec,
     SubfieldDecl,
     bernoulli_perfectness,
+    builtin_scenario,
     constants,
     constants_at_stage,
     derive,
@@ -98,6 +99,19 @@ def extract_false_witnesses(entry):
             yield "annihilator", cert["trap"]["certificate"]["witness"]["witness"]
         else:
             yield "acf-witnesses", cert["acf"]["certificate"]
+
+
+def extract_twisted_witnesses(node):
+    """Yield every witness listed under a ``twisted_witnesses`` key."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "twisted_witnesses":
+                yield from value
+            else:
+                yield from extract_twisted_witnesses(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from extract_twisted_witnesses(value)
 
 
 def test_criterion_1_decomposition_roundtrip(rng):
@@ -315,6 +329,31 @@ def test_criterion_11_checker_properties():
         ok and swapped_checked >= 4 and witnesses_checked >= 2,
         f"symmetry on {swapped_checked} forking scenarios over {len(corpus)} "
         f"builtins; {witnesses_checked} FALSE witnesses re-verified",
+    )
+
+
+def test_twisted_base_witnesses_reverify():
+    # the d1-free tower at p = 7: a + 4*lam^7 has degree 7 over the closed
+    # base (a, 4*lam), so its certificate comes from the twisted retry
+    text = (
+        builtin_scenario("example-d1-free")
+        .replace("prime 2", "prime 7")
+        .replace("lam^2", "4*lam^7")
+        .replace("order 2", "order 1")
+    )
+    scenario = parse(text, name="d1-free-p7")
+    result = run(scenario, with_certificates=True)
+    statuses = [entry["status"] for entry in result.results]
+    witnesses = list(extract_twisted_witnesses(result.to_jsonable()))
+    taken = set(scenario.ambient.vars)
+    ok = statuses == ["TRUE", "TRUE", "TRUE"] and len(witnesses) >= 1
+    for witness in witnesses:
+        ok &= any(s.endswith("^7") for s in witness["base"])
+        ok &= reverify_annihilator(witness, 7, taken)
+    report(
+        11,
+        ok,
+        f"{len(witnesses)} twisted-base witnesses of d1-free at p = 7 re-verified",
     )
 
 

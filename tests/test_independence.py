@@ -1,3 +1,6 @@
+from itertools import product
+
+import numpy as np
 import pytest
 
 from difftrap import (
@@ -13,6 +16,10 @@ from difftrap import (
 )
 from difftrap.errors import PreconditionError, SizeCapError
 from difftrap.independence import EngineConfig, root_closure
+from difftrap.linalg import kernel_mod_p
+from difftrap.pdecomp import pth_root_tower
+from difftrap.poly import exact_div
+from difftrap.rational import RationalElement, common_denominator
 
 from conftest import presentation, random_element
 
@@ -134,6 +141,136 @@ def test_root_closure_finds_hidden_roots():
     assert added == [amb.parse("lam")]
     value, exact, details = certified_trdeg(base, amb)
     assert (value, exact) == (2, True)
+
+
+def test_root_closure_adjoins_one_root_per_kernel_vector():
+    amb = presentation("E", 7, {"a": "1", "lam": None})
+    base = [amb.parse("a"), amb.parse("a + 4*lam^7")]
+    closed, added = root_closure(base, amb)
+    assert added == [amb.parse("4*lam")]
+    assert closed == base + added
+    value, exact, details = certified_trdeg(base, amb)
+    assert (value, exact) == (2, True)
+    # a + 4*lam^7 has degree 7 over (a, 4*lam); over the twisted base it is
+    # linear, and the witness names the base it uses
+    (twisted,) = details["twisted_witnesses"]
+    assert twisted["base"] == ["a", "4*lam", "4*lam^7"]
+    assert details["annihilators"] == [twisted["polynomial"]]
+
+
+def test_root_closure_sees_roots_beyond_five_generators():
+    # 7^5 combinations: an enumeration capped at 4096 never looked here
+    gens = {"x1": "1", "x2": "1", "x3": "1", "x4": "1", "lam": None}
+    amb = presentation("E", 7, gens)
+    base = [amb.parse(s) for s in ("x1", "x2", "x3", "x4", "x1 + lam^7")]
+    _, added = root_closure(base, amb)
+    assert added == [amb.parse("lam")]
+    value, exact, _ = certified_trdeg(base, amb)
+    assert (value, exact) == (5, True)
+
+
+def test_twisted_retry_over_the_cap_leaves_the_element_unproven():
+    amb = presentation("E", 7, {"a": "1", "lam": None})
+    base = [amb.parse("a"), amb.parse("a + 4*lam^7")]
+    # the plain search has C(3+6, 6) = 84 unknowns, the largest twisted one 210
+    config = EngineConfig(annihilator_cap=100)
+    value, exact, details = certified_trdeg(base, amb, config)
+    assert (value, exact) == (2, False)
+    assert details["unproven"] == ["4*lam^7 + a"]
+    assert "twisted_witnesses" not in details
+
+
+def enumerated_closure(elements, p, cap=4096, passes=8):
+    """Root closure by enumerating every F_p-combination (test oracle).
+
+    Adjoins the highest p-th root of every combination of two or more
+    elements that is a p-th power, unless a scalar multiple of it is
+    already there.  Returns (closed, converged); converged is False when
+    the cap or the pass limit stopped the search before a pass found
+    nothing new.
+    """
+    work = []
+    for e in elements:
+        if e not in work:
+            work.append(e)
+    for e in list(work):
+        root, k = pth_root_tower(e)
+        if k and not root.is_constant() and root not in work:
+            work.append(root)
+    for _ in range(passes):
+        n = len(work)
+        if p**n > cap:
+            return work, False
+        changed = False
+        for vector in product(range(p), repeat=n):
+            nz = [i for i, c in enumerate(vector) if c]
+            if len(nz) < 2:
+                continue
+            comb = RationalElement.zero(p)
+            for i in nz:
+                comb = comb + work[i] * vector[i]
+            if comb.is_constant():
+                continue
+            root, k = pth_root_tower(comb)
+            if k and not any(root * c in work for c in range(1, p)):
+                work.append(root)
+                changed = True
+        if not changed:
+            return work, True
+    return work, False
+
+
+def fp_rank(elements, p):
+    """Dimension of the F_p-span of the elements (cleared coefficients)."""
+    elements = [e for e in elements if not e.is_zero()]
+    if not elements:
+        return 0
+    denom = common_denominator(elements)
+    rows = {}
+    for col, e in enumerate(elements):
+        cleared = e.num * exact_div(denom, e.den)
+        for mono, c in cleared.terms.items():
+            rows.setdefault(mono, [0] * len(elements))[col] = c
+    matrix = np.array(list(rows.values()), dtype=np.int64)
+    return len(elements) - len(kernel_mod_p(matrix, p))
+
+
+def test_root_closure_spans_what_enumeration_spans(rng):
+    variables = ["x", "y", "z"]
+    compared = 0
+    grew = 0
+    # oracle caps that keep the enumeration at about a thousand combinations
+    for p, cap in ((2, 2**10), (3, 3**6), (5, 5**4)):
+        amb = presentation("E", p, {v: "0" for v in variables})
+        bases = [
+            # roots at two depths: x^p + y is the root of a sum
+            [amb.parse(f"x^{p * p}"), amb.parse(f"y^{p}")],
+            [amb.parse(f"x^{p * p} + y^{p}"), amb.parse(f"y^{p}")],
+        ]
+        for _ in range(12):
+            atoms = [random_element(rng, p, variables, max_degree=2) for _ in range(3)]
+            pool = [
+                atoms[0],
+                atoms[0] + rng.randrange(1, p) * atoms[1] ** p,
+                atoms[1] ** p + atoms[2],
+                atoms[2] ** p,
+                atoms[0] ** p + rng.randrange(1, p) * atoms[2] ** p,
+            ]
+            if p == 2:
+                pool.append(atoms[1] ** 4 + atoms[2] ** 2)
+            bases.append(rng.sample(pool, rng.randint(2, 3)))
+        for base in bases:
+            oracle, converged = enumerated_closure(base, p, cap)
+            if not converged:
+                continue
+            closed, added = root_closure(base, amb)
+            assert root_closure(closed, amb)[1] == []
+            one = [RationalElement.one(p)]
+            joint = fp_rank(one + closed + oracle, p)
+            assert fp_rank(one + closed, p) == joint == fp_rank(one + oracle, p)
+            compared += 1
+            grew += bool(added)
+    assert compared >= 20 and grew >= 10
 
 
 def test_annihilator_respects_dependent_base():
