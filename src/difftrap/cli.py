@@ -1,14 +1,15 @@
 """Command line interface: run scenario files, emit builtins, self-test.
 
 Exit codes: 0 when every query resolved (whatever the verdicts), 1 on
-validation failure, 2 on parse failure.
+validation failure, 2 on parse failure, 3 on an internal error (a result
+failed its own re-verification).
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from .errors import BadParameterError, ScenarioError
+from .errors import BadParameterError, InternalError, ScenarioError
 from .forking import BUILTIN_NAMES, builtin_scenario, scenario_corpus
 from .independence import EngineConfig
 from .scenario import parse, print_scenario, run
@@ -52,7 +53,16 @@ def _run_text(text, name, args):
         sys.stdout.write(report.to_table())
     if report.validation_failed:
         return 1
+    if _has_internal_error(report):
+        return 3
     return 0
+
+
+def _has_internal_error(report):
+    return any(
+        entry.get("error", {}).get("kind") == InternalError.kind
+        for entry in report.results
+    )
 
 
 def _cmd_builtin(args):
@@ -87,9 +97,11 @@ _EXPECTED = {
 def _cmd_selftest(args):
     config = _config_from_args(args)
     failures = 0
+    internal = False
     for name, text in scenario_corpus():
         scenario = parse(text, name=name)
         report = run(scenario, config=config)
+        internal = internal or _has_internal_error(report)
         if report.validation_failed:
             print(f"[FAIL] {name}: validation failed")
             failures += 1
@@ -114,7 +126,7 @@ def _cmd_selftest(args):
             print(f"[PASS] {name}: {summary}")
     if failures:
         print(f"{failures} selftest failure(s)")
-        return 1
+        return 3 if internal else 1
     print("selftest passed")
     return 0
 
@@ -157,7 +169,11 @@ def main(argv=None):
     _add_engine_flags(p_self)
     p_self.set_defaults(func=_cmd_selftest)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InternalError as exc:
+        print(f"internal error [{exc.kind}]: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -23,12 +23,13 @@ from .errors import (
     AmbientTooSmallError,
     BadParameterError,
     DepthExceededError,
+    InternalError,
     SizeCapError,
 )
 from .independence import (
     BaseSpec,
     default_config,
-    p_independent,
+    p_basis_extend,
     trdeg,
 )
 from .linalg import FFMatrix, kernel
@@ -165,7 +166,7 @@ def _constants_kernel(pres, working, config, frontier):
     if not vectors or not (
         vectors[0][0].is_one() and all(c.is_zero() for c in vectors[0][1:])
     ):
-        raise AssertionError("constants kernel lost the element 1")
+        raise InternalError("constants kernel lost the element 1")
     basis = []
     verified = True
     for vec in vectors:
@@ -179,7 +180,7 @@ def _constants_kernel(pres, working, config, frontier):
             for i in range(pres.m):
                 try:
                     if not derive(elem, i, working).is_zero():
-                        raise AssertionError(
+                        raise InternalError(
                             f"constant candidate {elem} fails d{i + 1} = 0"
                         )
                 except DepthExceededError:
@@ -202,17 +203,16 @@ def _constants_kernel(pres, working, config, frontier):
 def p_basis_of_constants_root(M, sub, ambient, config=None, result=None):
     """Extract a p-basis of the constants over M^p and its ambient p-th roots.
 
-    Greedy over the echelonized kernel basis; rejected elements lie in the
-    span already kept, because p-closure is a pregeometry.  Every kept
-    constant must embed to a p-th power of the ambient presentation,
+    Greedy over the echelonized kernel basis through ``p_basis_extend``:
+    one echelon row decides each element, which is rejected when it lies in
+    M^p(kept), the span already kept, because p-closure is a pregeometry.
+    ``result`` is M's constants when the caller has them already.  Every
+    kept constant must embed to a p-th power of the ambient presentation,
     otherwise the scenario's ambient is too small to host the root.
     """
     config = config or default_config()
     result = result or constants(M, config)
-    chosen = []
-    for c in result.kernel_basis:
-        if p_independent(chosen + [c], BaseSpec([]), M, config).is_true:
-            chosen.append(c)
+    chosen = p_basis_extend([], result.kernel_basis, BaseSpec([]), M, config)
     pairs = []
     for b in chosen:
         embedded = sub.embed(b)
@@ -247,17 +247,18 @@ def derivative_orders(m, order, mixed=True):
     return words
 
 
-def trap_up_to(M, sub, ambient, order, config=None):
+def trap_up_to(M, sub, ambient, order, config=None, result=None):
     """Truncated trap check: is the derivative family of the constants-root
     p-basis algebraically independent over the embedded generators of M?
 
     The verdict is explicitly relative to the inspected order.  An
     inconclusive underlying independence verdict is never upgraded to TRUE.
+    ``result``, when given, is ``constants(M, config)``, computed once.
     """
     config = config or default_config()
     if order < 0:
         raise BadParameterError("order must be nonnegative")
-    pairs = p_basis_of_constants_root(M, sub, ambient, config)
+    pairs = p_basis_of_constants_root(M, sub, ambient, config, result)
     if not pairs:
         return (
             Verdict.true(order=order, note="constants already equal M^p"),

@@ -61,6 +61,12 @@ class InexactDivisionError(WorkbenchError):
     kind = "INEXACT_DIVISION"
 
 
+class InternalError(WorkbenchError):
+    """A result failed its own exact re-verification: a bug, not a verdict."""
+
+    kind = "INTERNAL"
+
+
 class ScenarioError(WorkbenchError):
     """Scenario file problem, carrying position information.
 

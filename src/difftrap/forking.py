@@ -136,13 +136,16 @@ def check_forking(k, K, L, M, ambient, order, config=None):
                     f"of {part.name!r}"
                 )
     diagnostics = {}
+    m_constants = None  # M's constants, handed on to the trap check
     for decl in (k, K, L, M):
         try:
-            diagnostics[f"perfect({decl.name})"] = constants(
-                decl.pres, config
-            ).perfect
+            result = constants(decl.pres, config)
         except DepthExceededError:
             diagnostics[f"perfect({decl.name})"] = None
+            continue
+        diagnostics[f"perfect({decl.name})"] = result.perfect
+        if decl is M:
+            m_constants = result
     acf = check_acf_independence(
         K.embedded_generators(),
         L.embedded_generators(),
@@ -150,7 +153,7 @@ def check_forking(k, K, L, M, ambient, order, config=None):
         ambient,
         config,
     )
-    trap, trap_cert = trap_up_to(M.pres, M, ambient, order, config)
+    trap, trap_cert = trap_up_to(M.pres, M, ambient, order, config, m_constants)
     if acf.is_false or trap.is_false:
         failing = "acf" if acf.is_false else "trap"
         overall = Verdict.false(

@@ -38,7 +38,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import PreconditionError, SizeCapError
+from .errors import InternalError, PreconditionError, SizeCapError
 from .linalg import Echelon, FFMatrix, dependence_witness, kernel_mod_p, rank
 from .pdecomp import frobenius_inverse, is_pth_power, p_decompose
 from .poly import exact_div
@@ -78,6 +78,12 @@ class BaseSpec:
 
 def _exponents(w, var_order):
     return tuple(w.exponent_of(v) for v in var_order)
+
+
+def _coordinates(x, var_order):
+    """Sparse E^p-coordinate row of x, keyed by p-monomial exponent vector."""
+    coords = p_decompose(x, var_order).coords
+    return {_exponents(w, var_order): c for w, c in coords.items()}
 
 
 def coordinate_rows(elements, ambient):
@@ -131,8 +137,7 @@ def linear_independent_over_pk(v, base, ambient, config=None):
     span = Echelon(p)
     u_elems = []
     for _, term in _pmonomials_of(base.generators, p):
-        coords = p_decompose(term, var_order).coords
-        if span.add_row({_exponents(w, var_order): c for w, c in coords.items()}):
+        if span.add_row(_coordinates(term, var_order)):
             u_elems.append(term)
     products = []
     labels = []
@@ -157,7 +162,7 @@ def linear_independent_over_pk(v, base, ambient, config=None):
         combination.append({"element": x_str, "base_factor": u_str, "gamma": str(g)})
         check = check + (g**p) * prod_elem
     if not check.is_zero():
-        raise AssertionError("dependence combination failed exact re-verification")
+        raise InternalError("dependence combination failed exact re-verification")
     return Verdict.false(
         kind="p-linear-dependence",
         p=p,
@@ -179,16 +184,75 @@ def p_independent(S, base, ambient, config=None):
 
 
 def p_basis_extend(S, candidates, base, ambient, config=None):
-    """Greedily extend the p-independent set S by the candidates, in order."""
+    """Greedily extend the p-independent set S by the candidates, in order.
+
+    One echelon form holds the E^p-coordinate rows of the p-monomials of
+    everything kept so far: 1, then the base generators (greedily), then S
+    and the accepted candidates.  One row decides each candidate: c lies in
+    E^p(base, kept) exactly when its row adds no rank, and is then rejected
+    with nothing stored.  An accepted c adds the rows of c^j * u for
+    j = 1..p-1 and every kept p-monomial u; the enlarged set is
+    p-independent, so each of them must raise the rank (re-checked).  The
+    result is the set that testing ``p_independent(kept + [c], base)`` per
+    candidate keeps, since p-independence is a pregeometry, and the same
+    size caps are checked, in the same order, before any row is built.
+    """
     config = config or default_config()
     base = BaseSpec.coerce(base)
-    current = list(S)
-    if current and not p_independent(current, base, ambient, config).is_true:
-        raise PreconditionError("S is not p-independent over the base")
+    p = ambient.p
+    cap = p**config.pmonomial_cap_exponent
+    var_order = list(ambient.vars)
+    span = Echelon(p)
+    monomials = []  # the p-monomial of each row of span, 1 first
+    base_rows = None  # how many p-monomials span E^p(base); None until built
+
+    def adjoin(x):
+        """Keep x when its row raises the rank; returns whether it did."""
+        if not span.add_row(_coordinates(x, var_order)):
+            return False
+        grown = [x * u for u in monomials[1:]]
+        power = x
+        for _ in range(2, p):
+            power = power * x
+            grown.extend(power * u for u in monomials)
+        for term in grown:
+            if not span.add_row(_coordinates(term, var_order)):
+                raise InternalError(
+                    f"p-monomial {term} lies in the span of the kept ones"
+                )
+        monomials.extend([x] + grown)
+        return True
+
+    def check_caps(n):
+        """Raise the caps of ``p_independent`` on n elements over the base;
+        the first call also builds the base rows, once the base cap holds."""
+        nonlocal base_rows
+        if p**n > cap:
+            raise SizeCapError(f"{p**n} p-monomials of S exceed cap {cap}")
+        if base_rows is None:
+            if p ** len(base.generators) > cap:
+                raise SizeCapError(
+                    f"base spans {p ** len(base.generators)} p-monomials, cap {cap}"
+                )
+            one = RationalElement.one(p)
+            span.add_row(_coordinates(one, var_order))
+            monomials.append(one)
+            for g in base.generators:
+                adjoin(g)
+            base_rows = len(monomials)
+        if base_rows * p**n > cap:
+            raise SizeCapError(f"{base_rows * p**n} product rows exceed cap {cap}")
+
+    kept = list(S)
+    if kept:
+        check_caps(len(kept))
+        if not all(adjoin(s) for s in kept):
+            raise PreconditionError("S is not p-independent over the base")
     for c in candidates:
-        if p_independent(current + [c], base, ambient, config).is_true:
-            current.append(c)
-    return current
+        check_caps(len(kept) + 1)
+        if adjoin(c):
+            kept.append(c)
+    return kept
 
 
 def separably_independent(A, k_gens, F, config=None):
@@ -559,7 +623,7 @@ def find_annihilator(f, base, ambient, config=None, degree=None):
             rendered=_render_annihilator(coefficients, nb, nf),
         )
         if not witness.verify():
-            raise AssertionError("annihilator witness failed exact re-verification")
+            raise InternalError("annihilator witness failed exact re-verification")
         return witness
     return None
 
@@ -580,7 +644,7 @@ def constant_witness(f, index, p):
         rendered=_render_annihilator(coefficients, 0, len(f)),
     )
     if not witness.verify():
-        raise AssertionError("constant witness failed verification")
+        raise InternalError("constant witness failed verification")
     return witness
 
 

@@ -20,7 +20,7 @@ row operations carry the elimination.
 
 import numpy as np
 
-from .errors import BadParameterError
+from .errors import BadParameterError, InternalError
 from .rational import RationalElement
 
 
@@ -160,7 +160,7 @@ def _verify_in_kernel(matrix, v):
                 continue
             s = s + e * x
         if not s.is_zero():
-            raise AssertionError("kernel vector failed exact re-verification")
+            raise InternalError("kernel vector failed exact re-verification")
 
 
 def dependence_witness(rows, p=None):
@@ -188,7 +188,7 @@ def dependence_witness(rows, p=None):
                 continue
             s = s + c * row[j]
         if not s.is_zero():
-            raise AssertionError("dependence witness failed exact re-verification")
+            raise InternalError("dependence witness failed exact re-verification")
     return witness
 
 

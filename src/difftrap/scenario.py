@@ -41,7 +41,12 @@ from dataclasses import dataclass, field
 from . import __version__
 from .bernoulli import bernoulli_perfectness
 from .constants import constants, trap_up_to
-from .errors import ScenarioError, UnknownVariableError, WorkbenchError
+from .errors import (
+    InternalError,
+    ScenarioError,
+    UnknownVariableError,
+    WorkbenchError,
+)
 from .expr import parse_expr
 from .forking import ForkingQuery, run_forking_query
 from .independence import (
@@ -533,7 +538,11 @@ class Report:
 
 
 def validate(scenario, config=None):
-    """Commutation and embedding checks; returns {check name: verdict dict}."""
+    """Commutation and embedding checks; returns {check name: verdict dict}.
+
+    A workbench error in an embedding check makes that check FALSE, except
+    ``InternalError``, which is a fault of the engine and is raised.
+    """
     config = config or default_config()
     out = {}
     out[f"commutation({scenario.ambient.name})"] = check_commutation(
@@ -545,6 +554,8 @@ def validate(scenario, config=None):
             out[f"embedding({name})"] = check_embedding(
                 decl, scenario.ambient, config
             ).to_jsonable()
+        except InternalError:
+            raise
         except WorkbenchError as exc:
             out[f"embedding({name})"] = {
                 "status": "FALSE",

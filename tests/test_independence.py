@@ -2,10 +2,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from difftrap import (
     BaseSpec,
     certified_trdeg,
+    constants,
     find_annihilator,
     linear_independent_over_pk,
     p_basis_extend,
@@ -91,6 +93,86 @@ def test_p_basis_extend(exy):
     assert p_basis_extend([x], [exy.parse("x^2")], BaseSpec([]), exy) == [x]
     with pytest.raises(PreconditionError):
         p_basis_extend([exy.parse("x^2")], [], BaseSpec([]), exy)
+
+
+def test_p_basis_extend_precondition_over_a_base(exy):
+    # x = (x + y^2) - y^2 lies in E^2(x + y^2); y does not
+    base = BaseSpec([exy.parse("x + y^2")])
+    with pytest.raises(PreconditionError):
+        p_basis_extend([exy.parse("x")], [exy.parse("y")], base, exy)
+    assert p_basis_extend([exy.parse("y")], [exy.parse("x")], base, exy) == [
+        exy.parse("y")
+    ]
+
+
+def greedy_by_p_independent(S, candidates, base, ambient, config=None):
+    """The p-basis loop as it was: one full p_independent test per candidate."""
+    current = list(S)
+    if current and not p_independent(current, base, ambient, config).is_true:
+        raise PreconditionError("S is not p-independent over the base")
+    for c in candidates:
+        if p_independent(current + [c], base, ambient, config).is_true:
+            current.append(c)
+    return current
+
+
+def outcome(extend, *args):
+    try:
+        return extend(*args)
+    except (PreconditionError, SizeCapError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_p_basis_extend_matches_the_full_test_loop(p):
+    E = presentation("E", p, {"x": "1", "y": "0", "z": None})
+    candidates = [
+        E.parse(t)
+        for t in ["1", f"x^{p}", "x", f"x + y^{p}", "x*y", "y", "x + z", f"z^{p}", "z"]
+    ]
+    bases = [[], [f"x + y^{p}"], ["y", "y^2 + 1"], ["x*z", f"z^{p} + x"]]
+    config = EngineConfig(pmonomial_cap_exponent=3)
+    for base in bases:
+        spec = BaseSpec([E.parse(t) for t in base])
+        for S in ([], [E.parse("z")]):
+            args = (S, candidates, spec, E, config)
+            want = outcome(greedy_by_p_independent, *args)
+            assert outcome(p_basis_extend, *args) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 2),
+    st.integers(0, 4),
+)
+def test_p_basis_extend_matches_the_full_test_loop_on_random_sets(
+    rnd, p, nbase, ncand
+):
+    # small enough for the reference loop, whose cost grows as p^(|kept|+1)
+    # per candidate: two variables, degree 2, denominators only at p = 2
+    E = presentation("E", p, {"x": "1", "y": "0"})
+    base = BaseSpec(
+        [random_element(rnd, p, ["x", "y"], 2, False) for _ in range(nbase)]
+    )
+    candidates = [
+        random_element(rnd, p, ["x", "y"], 2, p == 2) for _ in range(ncand)
+    ]
+    config = EngineConfig(pmonomial_cap_exponent=3 if p < 5 else 2)
+    args = ([], candidates, base, E, config)
+    assert outcome(p_basis_extend, *args) == outcome(greedy_by_p_independent, *args)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_p_basis_extend_matches_on_the_towers_constants_kernels(p):
+    # the compositum M of the benchmark towers: d u = d w = 1
+    M = presentation("M", p, {"u": "1", "w": "1"})
+    kernel = constants(M).kernel_basis
+    args = ([], kernel, BaseSpec([]), M)
+    chosen = p_basis_extend(*args)
+    assert chosen == greedy_by_p_independent(*args)
+    assert len(kernel) == p ** len(chosen) == p
 
 
 def test_separably_independent():

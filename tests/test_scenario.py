@@ -4,7 +4,7 @@ import pytest
 
 from difftrap import parse, print_scenario, run
 from difftrap.cli import main as cli_main
-from difftrap.errors import ScenarioError
+from difftrap.errors import InternalError, ScenarioError
 from difftrap.forking import builtin_scenario, scenario_corpus
 from difftrap.presentation import OPAQUE
 
@@ -178,3 +178,58 @@ def test_certificate_flag_controls_payload():
     trap_q = [q for q in certified["queries"] if q["query"].startswith("trap")][0]
     assert "certificate" in trap_q
     assert "witness" in trap_q["certificate"]
+
+
+def test_trap_size_cap_message():
+    # four constant generators at p = 2: the p-basis keeps 4 and the next
+    # candidate would need 2^5 p-monomials
+    gens = "abcd"
+    text = "prime 2\nderivations 1\nambient E\n  gens a b c d\n"
+    text += "".join(f"  d1 {g} = 0\n" for g in gens)
+    text += "field M\n  gens " + " ".join(g.upper() for g in gens) + "\n"
+    text += "".join(f"  embed {g.upper()} -> {g}\n" for g in gens)
+    text += "".join(f"  d1 {g.upper()} = 0\n" for g in gens)
+    text += "query trap M order 1\n"
+    report = run(parse(text))
+    assert not report.validation_failed
+    (entry,) = report.results
+    assert entry["status"] == "ERROR"
+    assert entry["error"] == {
+        "kind": "SIZE_CAP",
+        "message": "32 p-monomials of S exceed cap 16",
+    }
+
+
+def test_internal_error_in_validation_exits_3(monkeypatch, capsys):
+    # embedding(M) of example-d1-constant searches an annihilator, so a
+    # witness that fails re-verification stops the run in validation
+    from difftrap.independence import AnnihilatorWitness
+
+    monkeypatch.setattr(AnnihilatorWitness, "verify", lambda self: False)
+    with pytest.raises(InternalError):
+        run(parse(builtin_scenario("example-d1-constant")))
+    assert cli_main(["builtin", "example-d1-constant", "--run", "--json"]) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "[INTERNAL]" in captured.err
+
+
+def test_internal_error_in_query_exits_3(monkeypatch, capsys):
+    # only witnesses over an empty base (the scalar family member of the
+    # trap query) fail re-verification: validation passes, and the trap and
+    # forking queries end in INTERNAL entries of a complete report
+    from difftrap.independence import AnnihilatorWitness
+
+    verify = AnnihilatorWitness.verify
+    monkeypatch.setattr(
+        AnnihilatorWitness,
+        "verify",
+        lambda self: bool(self.base_elements) and verify(self),
+    )
+    assert cli_main(["builtin", "example-d1-constant", "--run", "--json"]) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    report = json.loads(captured.out)
+    assert not any(v["status"] == "FALSE" for v in report["validation"].values())
+    kinds = {q["query"].split()[0]: q.get("error", {}).get("kind") for q in report["queries"]}
+    assert kinds == {"trap": "INTERNAL", "forking": "INTERNAL"}
