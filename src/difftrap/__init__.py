@@ -39,12 +39,10 @@ from .errors import (
 )
 from .expr import parse_expr
 from .forking import (
-    ForkingQuery,
     ForkingVerdict,
     builtin_scenario,
     check_acf_independence,
     check_forking,
-    run_forking_query,
     scenario_corpus,
 )
 from .independence import (

@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every query resolved (whatever the verdicts), 1 on
 validation failure, 2 on parse failure, 3 on an internal error (a result
-failed its own re-verification).
+failed its own re-verification), in validation or in a query.
 """
 
 import argparse
@@ -51,17 +51,17 @@ def _run_text(text, name, args):
         sys.stdout.write(report.to_json())
     else:
         sys.stdout.write(report.to_table())
-    if report.validation_failed:
-        return 1
     if _has_internal_error(report):
         return 3
+    if report.validation_failed:
+        return 1
     return 0
 
 
 def _has_internal_error(report):
     return any(
         entry.get("error", {}).get("kind") == InternalError.kind
-        for entry in report.results
+        for entry in [*report.validation.values(), *report.results]
     )
 
 

@@ -16,7 +16,7 @@ presentation, and test the family of their derivatives up to the requested
 order for algebraic independence over the embedded generators of M.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .errors import (
@@ -43,12 +43,8 @@ from .verdict import Verdict
 class ConstantsResult:
     presentation: object
     kernel_basis: list
-    coordinate_vectors: list
-    pmonomials: list
     dim: int
     perfect: bool
-    verified: bool = True
-    frontier_vars: list = field(default_factory=list)
 
     def basis_strings(self):
         return [str(e) for e in self.kernel_basis]
@@ -157,9 +153,8 @@ def _constants_kernel(pres, working, config, frontier):
             image = derive(w.as_element(), i, working)
             decomp = p_decompose(image, working.vars)
             for v, coeff in decomp.coords.items():
-                row = condition_rows.setdefault((i, v), [zero] * len(pmons))
-                row[index[w]] = coeff
-    matrix = FFMatrix(p, list(condition_rows.values()), ncols=len(pmons))
+                condition_rows.setdefault((i, v), {})[index[w]] = coeff
+    matrix = FFMatrix(p, list(condition_rows.values()), len(pmons))
     vectors = kernel(matrix)
     # the column of the monomial 1 is never constrained, so the first
     # echelonized kernel vector is the element 1
@@ -168,15 +163,15 @@ def _constants_kernel(pres, working, config, frontier):
     ):
         raise InternalError("constants kernel lost the element 1")
     basis = []
-    verified = True
     for vec in vectors:
         elem = zero
         for w, c in zip(pmons, vec):
             if c.is_zero():
                 continue
             elem = elem + (c**p) * w.as_element()
-        frontier_free = not (elem.variables() & set(frontier))
-        if frontier_free:
+        # a candidate that involves a fresh frontier variable, or needs an
+        # opaque derivative, cannot be differentiated and is not re-checked
+        if not (elem.variables() & set(frontier)):
             for i in range(pres.m):
                 try:
                     if not derive(elem, i, working).is_zero():
@@ -184,19 +179,13 @@ def _constants_kernel(pres, working, config, frontier):
                             f"constant candidate {elem} fails d{i + 1} = 0"
                         )
                 except DepthExceededError:
-                    verified = False
-        else:
-            verified = False
+                    pass
         basis.append(elem)
     return ConstantsResult(
         presentation=pres,
         kernel_basis=basis,
-        coordinate_vectors=vectors,
-        pmonomials=pmons,
         dim=len(basis),
         perfect=(len(basis) == 1),
-        verified=verified,
-        frontier_vars=list(frontier),
     )
 
 

@@ -19,38 +19,12 @@ tool does not attempt, so consistency is enforced through the embedding
 checks instead.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 from .constants import constants, trap_up_to
 from .errors import BadParameterError, DepthExceededError
 from .independence import certified_trdeg, default_config
 from .verdict import Verdict
-
-
-@dataclass
-class ForkingQuery:
-    k: str
-    K: str
-    L: str
-    M: str
-    ambient: str
-    order: int
-    oracle_degree: int | None = None
-
-
-def run_forking_query(query, fields, ambient, config=None):
-    """Resolve a named tower and run the checker; names must be declared."""
-    config = config or default_config()
-    if query.oracle_degree is not None:
-        config = dataclasses.replace(config, degree_bound=query.oracle_degree)
-    if query.ambient != ambient.name:
-        raise BadParameterError(f"unknown ambient {query.ambient!r}")
-    try:
-        resolved = [fields[name] for name in (query.k, query.K, query.L, query.M)]
-    except KeyError as exc:
-        raise BadParameterError(f"unknown field {exc.args[0]!r}") from exc
-    return check_forking(*resolved, ambient, query.order, config)
 
 
 @dataclass

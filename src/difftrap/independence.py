@@ -86,24 +86,6 @@ def _coordinates(x, var_order):
     return {_exponents(w, var_order): c for w, c in coords.items()}
 
 
-def coordinate_rows(elements, ambient):
-    """Coordinate matrix of elements over E^p, columns labeled by p-monomials.
-
-    Only p-monomials that actually occur get a column; absent coordinates are
-    zero and cannot affect rank or kernels.
-    """
-    p = ambient.p
-    var_order = list(ambient.vars)
-    decomps = [p_decompose(e, var_order) for e in elements]
-    occurring = set()
-    for d in decomps:
-        occurring.update(d.coords)
-    columns = sorted(occurring, key=lambda w: _exponents(w, var_order))
-    zero = RationalElement.zero(p)
-    rows = [[d.coords.get(w, zero) for w in columns] for d in decomps]
-    return FFMatrix(p, rows, col_labels=[str(w) for w in columns])
-
-
 def _pmonomials_of(elements, p):
     """All products of the elements with exponents in [0, p-1], in
     exponent-vector order (1 first)."""
@@ -147,13 +129,14 @@ def linear_independent_over_pk(v, base, ambient, config=None):
             labels.append((str(x), str(u)))
     if len(products) > cap:
         raise SizeCapError(f"{len(products)} product rows exceed cap {cap}")
-    matrix = coordinate_rows(products, ambient)
+    rows = [_coordinates(x, var_order) for x in products]
+    matrix = FFMatrix(p, rows, len(set().union(*rows)))
     if rank(matrix) == len(products):
         return Verdict.true(
             basis_of_base_span=[str(u) for u in u_elems],
             rows=len(products),
         )
-    gamma = dependence_witness(matrix.rows, p=p)
+    gamma = dependence_witness(matrix)
     combination = []
     check = RationalElement.zero(p)
     for g, prod_elem, (x_str, u_str) in zip(gamma, products, labels):
@@ -279,8 +262,8 @@ def separably_independent(A, k_gens, F, config=None):
 
 def jacobian(elements, ambient):
     """Rows of formal partials with respect to the ambient generators."""
-    rows = [[partial(e, v) for v in ambient.vars] for e in elements]
-    return FFMatrix(ambient.p, rows, col_labels=list(ambient.vars))
+    rows = [{j: partial(e, v) for j, v in enumerate(ambient.vars)} for e in elements]
+    return FFMatrix(ambient.p, rows, len(ambient.vars))
 
 
 def _fp_relations(vectors, p):

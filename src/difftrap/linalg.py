@@ -1,17 +1,19 @@
 """Exact linear algebra over rational function fields.
 
-Rank, kernel and dependence witnesses work on matrices of
-:class:`RationalElement` entries through one incremental row echelon form,
-:class:`Echelon`.  Rows are kept sparse, as ``{column: nonzero entry}``; a
-new row is reduced against the pivot rows kept so far in ascending column
-order, and kept with its leading entry scaled to 1 when anything is left.
-Elimination happens in the field, so entries are canonical reduced
-fractions throughout.
+Matrices are :class:`FFMatrix` objects, stored by sparse rows: each row is a
+``{column: entry}`` dict of :class:`RationalElement` entries, and a column a
+row leaves out holds zero there.  Rank, kernel and dependence witnesses
+work through one incremental row echelon form, :class:`Echelon`, which
+takes the same rows: a new row is reduced against the pivot rows kept so
+far in ascending column order, and kept with its leading entry scaled to 1
+when anything is left.  Elimination happens in the field, so entries are
+canonical reduced fractions throughout.
 
 The pivot columns (each column that is not in the span of the columns
 before it) and the reduced kernel basis (1 at its free column, 0 at the
 other free columns) are determined by the matrix alone, not by how it is
-eliminated, so all certificates built from them are reproducible.
+eliminated, so all certificates built from them are reproducible.  Kernel
+vectors are dense lists, one entry per column.
 
 ``kernel_mod_p`` is the small dense mod-p solver used by the bounded
 annihilator oracle; the systems there have scalar entries, so numpy
@@ -25,39 +27,17 @@ from .rational import RationalElement
 
 
 class FFMatrix:
-    """A rectangular matrix of canonical RationalElement entries.
+    """``nrows`` sparse ``{column: entry}`` rows over ``ncols`` columns.
 
-    ``ncols`` is taken from the rows unless given; pass it whenever the
-    matrix may have no rows.
+    Columns are sortable keys and ``ncols`` counts them; ``kernel`` needs
+    them to be ``0..ncols-1``.
     """
 
-    def __init__(self, p, rows, row_labels=None, col_labels=None, ncols=None):
+    def __init__(self, p, rows, ncols):
         self.p = p
-        self.rows = [list(r) for r in rows]
-        widths = {len(r) for r in self.rows}
-        if ncols is not None:
-            widths.add(ncols)
-        if len(widths) > 1:
-            raise BadParameterError("ragged matrix")
+        self.rows = list(rows)
         self.nrows = len(self.rows)
-        self.ncols = widths.pop() if widths else 0
-        self.row_labels = list(row_labels) if row_labels else None
-        self.col_labels = list(col_labels) if col_labels else None
-
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def transpose(self):
-        rows = [
-            [self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)
-        ]
-        return FFMatrix(
-            self.p,
-            rows,
-            row_labels=self.col_labels,
-            col_labels=self.row_labels,
-            ncols=self.nrows,
-        )
+        self.ncols = ncols
 
     def __repr__(self):
         return f"FFMatrix({self.nrows}x{self.ncols} over F_{self.p})"
@@ -134,7 +114,7 @@ def _subtract(row, x, other):
 def _echelon(matrix):
     span = Echelon(matrix.p, matrix.ncols)
     for row in matrix.rows:
-        span.add_row(dict(enumerate(row)))
+        span.add_row(row)
     return span
 
 
@@ -147,48 +127,42 @@ def kernel(matrix):
     """Reduced basis of the right kernel; every vector re-verified."""
     basis = _echelon(matrix).kernel()
     for v in basis:
-        _verify_in_kernel(matrix, v)
+        _check_annihilates(matrix.p, matrix.rows, v, "kernel vector")
     return basis
 
 
-def _verify_in_kernel(matrix, v):
-    zero = RationalElement.zero(matrix.p)
-    for row in matrix.rows:
+def _check_annihilates(p, rows, v, what):
+    """Raise unless every sparse row times the dense vector v is zero."""
+    zero = RationalElement.zero(p)
+    for row in rows:
         s = zero
-        for e, x in zip(row, v):
-            if e.is_zero() or x.is_zero():
-                continue
-            s = s + e * x
+        for j, e in row.items():
+            if not v[j].is_zero():
+                s = s + e * v[j]
         if not s.is_zero():
-            raise InternalError("kernel vector failed exact re-verification")
+            raise InternalError(f"{what} failed exact re-verification")
 
 
-def dependence_witness(rows, p=None):
-    """A nonzero combination annihilating the given coordinate rows, or None.
+def dependence_witness(matrix):
+    """A nonzero combination c of the rows with sum_i c_i * rows_i = 0, or
+    None when the rows are independent.
 
-    The witness c satisfies sum_i c_i * rows_i = 0 exactly and is re-verified
-    before being returned.
+    The witness is the first reduced kernel vector of the transpose, and is
+    re-verified before being returned.
     """
-    if not rows:
-        return None
-    if p is None:
-        p = next(e.p for r in rows for e in r)
-    span = Echelon(p, len(rows))
-    for j in range(len(rows[0])):
-        span.add_row({i: r[j] for i, r in enumerate(rows)})
+    by_column = {}
+    for i, row in enumerate(matrix.rows):
+        for j, e in row.items():
+            by_column.setdefault(j, {})[i] = e
+    columns = [by_column[j] for j in sorted(by_column)]
+    span = Echelon(matrix.p, matrix.nrows)
+    for column in columns:
+        span.add_row(column)
     basis = span.kernel()
     if not basis:
         return None
     witness = basis[0]
-    zero = RationalElement.zero(p)
-    for j in range(len(rows[0])):
-        s = zero
-        for c, row in zip(witness, rows):
-            if c.is_zero() or row[j].is_zero():
-                continue
-            s = s + c * row[j]
-        if not s.is_zero():
-            raise InternalError("dependence witness failed exact re-verification")
+    _check_annihilates(matrix.p, columns, witness, "dependence witness")
     return witness
 
 

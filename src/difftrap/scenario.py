@@ -48,7 +48,7 @@ from .errors import (
     WorkbenchError,
 )
 from .expr import parse_expr
-from .forking import ForkingQuery, run_forking_query
+from .forking import check_forking
 from .independence import (
     BaseSpec,
     EngineConfig,
@@ -483,7 +483,9 @@ class Report:
 
     @property
     def validation_failed(self):
-        return any(v.get("status") == "FALSE" for v in self.validation.values())
+        return any(
+            v.get("status") in ("FALSE", "ERROR") for v in self.validation.values()
+        )
 
     def to_jsonable(self):
         queries = []
@@ -525,23 +527,28 @@ class Report:
         digest = scenario_digest(self.scenario)
         lines.append(f"scenario {self.scenario.name} ({digest})")
         for name, verdict in self.validation.items():
-            lines.append(f"  validate {name}: {verdict['status']}")
+            lines.append(f"  validate {name}: {verdict['status']}{_error_note(verdict)}")
         for entry in self.results:
             status = entry["status"]
             if entry.get("bound") is not None and status == "INCONCLUSIVE":
                 status = f"INCONCLUSIVE_UP_TO({entry['bound']})"
-            note = ""
-            if entry.get("error"):
-                note = f"  [{entry['error']['kind']}] {entry['error']['message']}"
-            lines.append(f"  [{entry['index']}] {entry['query']}: {status}{note}")
+            lines.append(
+                f"  [{entry['index']}] {entry['query']}: {status}{_error_note(entry)}"
+            )
         return "\n".join(lines) + "\n"
+
+
+def _error_note(entry):
+    error = entry.get("error")
+    return f"  [{error['kind']}] {error['message']}" if error else ""
 
 
 def validate(scenario, config=None):
     """Commutation and embedding checks; returns {check name: verdict dict}.
 
     A workbench error in an embedding check makes that check FALSE, except
-    ``InternalError``, which is a fault of the engine and is raised.
+    ``InternalError``, a fault of the engine, which makes it ERROR with the
+    error's kind and message; either fails validation.
     """
     config = config or default_config()
     out = {}
@@ -554,8 +561,11 @@ def validate(scenario, config=None):
             out[f"embedding({name})"] = check_embedding(
                 decl, scenario.ambient, config
             ).to_jsonable()
-        except InternalError:
-            raise
+        except InternalError as exc:
+            out[f"embedding({name})"] = {
+                "status": "ERROR",
+                "error": {"kind": exc.kind, "message": str(exc)},
+            }
         except WorkbenchError as exc:
             out[f"embedding({name})"] = {
                 "status": "FALSE",
@@ -659,17 +669,10 @@ def _run_query(scenario, query, config):
         )
         return _verdict_entry(verdict, detail={"order": a["order"]})
     if query.kind == "forking":
-        forking = run_forking_query(
-            ForkingQuery(
-                k=a["k"],
-                K=a["K"],
-                L=a["L"],
-                M=a["M"],
-                ambient=scenario.ambient.name,
-                order=a["order"],
-            ),
-            scenario.fields,
+        forking = check_forking(
+            *(scenario.field_decl(a[n]) for n in ("k", "K", "L", "M")),
             scenario.ambient,
+            a["order"],
             config,
         )
         return {

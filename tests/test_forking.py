@@ -208,18 +208,3 @@ def test_conjunction_soundness_over_corpus():
         fv = run_forking(scenario)
         if fv.overall.is_true:
             assert fv.acf_part.is_true and fv.trap_part.is_true, name
-
-
-def test_run_forking_query_resolves_names():
-    from difftrap import ForkingQuery, run_forking_query
-
-    scenario = parse(builtin_scenario("degenerate-base"), name="deg")
-    q = ForkingQuery(k="k", K="K", L="L", M="M", ambient="E", order=1)
-    fv = run_forking_query(q, scenario.fields, scenario.ambient)
-    assert fv.overall.is_true
-    with pytest.raises(BadParameterError):
-        run_forking_query(
-            ForkingQuery(k="k", K="K", L="nope", M="M", ambient="E", order=1),
-            scenario.fields,
-            scenario.ambient,
-        )

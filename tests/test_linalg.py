@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from difftrap import parse_expr
+from difftrap.errors import InternalError
 from difftrap.linalg import (
     Echelon,
     FFMatrix,
@@ -20,29 +21,42 @@ def E(p, text):
     return parse_expr(text, p)
 
 
+def sparse(entries):
+    """The {column: entry} row of a list of entries, zeros left out."""
+    return {j: e for j, e in enumerate(entries) if not e.is_zero()}
+
+
+def dense(p, row, ncols):
+    return [row.get(j, RationalElement.zero(p)) for j in range(ncols)]
+
+
 def M(p, rows):
-    return FFMatrix(p, [[E(p, t) for t in row] for row in rows])
+    """Matrix of expression strings; a "0" entry is left out of its row."""
+    return FFMatrix(
+        p,
+        [{j: E(p, t) for j, t in enumerate(row) if t != "0"} for row in rows],
+        len(rows[0]),
+    )
 
 
 def test_rank_spec_example():
     # oracle: the last two rows are combinations of the first two
-    r1 = [E(2, "1"), E(2, "0")]
-    r2 = [E(2, "0"), E(2, "1")]
-    r3 = [E(2, "y"), E(2, "1")]
-    r4 = [E(2, "x"), E(2, "y")]
-    assert [a * E(2, "y") + b for a, b in zip(r1, r2)] == r3
-    assert [a * E(2, "x") + b * E(2, "y") for a, b in zip(r1, r2)] == r4
-    assert rank(FFMatrix(2, [r1, r2, r3, r4])) == 2
+    r1 = {0: E(2, "1")}
+    r2 = {1: E(2, "1")}
+    r3 = {0: E(2, "y"), 1: E(2, "1")}
+    r4 = {0: E(2, "x"), 1: E(2, "y")}
+    d1, d2 = dense(2, r1, 2), dense(2, r2, 2)
+    assert [a * E(2, "y") + b for a, b in zip(d1, d2)] == dense(2, r3, 2)
+    assert [a * E(2, "x") + b * E(2, "y") for a, b in zip(d1, d2)] == dense(2, r4, 2)
+    assert rank(FFMatrix(2, [r1, r2, r3, r4], 2)) == 2
 
 
 def test_rank_trivial():
     assert rank(M(3, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])) == 3
     assert rank(M(3, [["0", "0"], ["0", "0"]])) == 0
-    zero = E(3, "0")
     for nrows, ncols in ((0, 0), (0, 3), (3, 0), (2, 3), (3, 2)):
-        m = FFMatrix(3, [[zero] * ncols for _ in range(nrows)], ncols=ncols)
+        m = FFMatrix(3, [{} for _ in range(nrows)], ncols)
         assert (m.nrows, m.ncols) == (nrows, ncols)
-        assert (m.transpose().nrows, m.transpose().ncols) == (ncols, nrows)
         assert rank(m) == 0
         assert rank(m) + len(kernel(m)) == ncols
 
@@ -51,12 +65,8 @@ def test_rank_bernoulli_shaped_diagonal():
     # the constants matrix of bernoulli-pair(7,1,1): 48 x 49, one nonzero per
     # row, the column of the monomial 1 unconstrained
     p = 7
-    rows = []
-    for i in range(48):
-        row = [E(p, "0")] * 49
-        row[i + 1] = E(p, f"{i % 6 + 1}*a^{i % 7}*b^{i // 7}")
-        rows.append(row)
-    m = FFMatrix(p, rows)
+    rows = [{i + 1: E(p, f"{i % 6 + 1}*a^{i % 7}*b^{i // 7}")} for i in range(48)]
+    m = FFMatrix(p, rows, 49)
     assert rank(m) == 48
     assert kernel(m) == [[E(p, "1")] + [E(p, "0")] * 48]
 
@@ -75,24 +85,34 @@ def test_kernel_rational_entries():
     assert len(basis) == 1
     v = basis[0]
     for row in m.rows:
-        s = sum((e * c for e, c in zip(row, v)), RationalElement.zero(2))
+        s = sum((e * v[j] for j, e in row.items()), RationalElement.zero(2))
         assert s.is_zero()
 
 
 def test_dependence_witness():
-    rows = [
-        [E(2, "1"), E(2, "0")],
-        [E(2, "0"), E(2, "1")],
-        [E(2, "y"), E(2, "1")],
-    ]
-    w = dependence_witness(rows, p=2)
+    rows = [{0: E(2, "1")}, {1: E(2, "1")}, {0: E(2, "y"), 1: E(2, "1")}]
+    w = dependence_witness(FFMatrix(2, rows, 2))
     assert w is not None
     total = [RationalElement.zero(2), RationalElement.zero(2)]
     for c, row in zip(w, rows):
-        total = [t + c * e for t, e in zip(total, row)]
+        for j, e in row.items():
+            total[j] = total[j] + c * e
     assert all(t.is_zero() for t in total)
-    assert dependence_witness([[E(2, "1"), E(2, "0")], [E(2, "0"), E(2, "1")]], p=2) is None
-    assert dependence_witness([[]], p=2) == [E(2, "1")]
+    assert dependence_witness(FFMatrix(2, [{0: E(2, "1")}, {1: E(2, "1")}], 2)) is None
+    assert dependence_witness(FFMatrix(2, [{}], 0)) == [E(2, "1")]
+
+
+def test_wrong_kernel_vectors_fail_reverification(monkeypatch):
+    # rows that leave their zero entries out must still be checked in full:
+    # a vector that is not in the kernel is an internal error, not a result
+    x = E(3, "x")
+    monkeypatch.setattr(
+        Echelon, "kernel", lambda self: [[x] + [E(3, "0")] * (self.ncols - 1)]
+    )
+    with pytest.raises(InternalError, match="kernel vector"):
+        kernel(FFMatrix(3, [{0: x}, {2: x + 1}], 3))
+    with pytest.raises(InternalError, match="dependence witness"):
+        dependence_witness(FFMatrix(3, [{1: x}, {0: E(3, "1")}], 2))
 
 
 def test_rank_nullity(rng):
@@ -103,21 +123,24 @@ def test_rank_nullity(rng):
             m = FFMatrix(
                 p,
                 [
-                    [random_element(rng, p, ["x", "y"], 1) for _ in range(ncols)]
+                    sparse([random_element(rng, p, ["x", "y"], 1) for _ in range(ncols)])
                     for _ in range(nrows)
                 ],
+                ncols,
             )
             basis = kernel(m)
             assert rank(m) + len(basis) == ncols
             span = Echelon(p, ncols)
             for i, row in enumerate(m.rows):
-                grew = rank(FFMatrix(p, m.rows[: i + 1])) > rank(
-                    FFMatrix(p, m.rows[:i], ncols=ncols)
+                grew = rank(FFMatrix(p, m.rows[: i + 1], ncols)) > rank(
+                    FFMatrix(p, m.rows[:i], ncols)
                 )
-                assert span.add_row(dict(enumerate(row))) == grew
+                assert span.add_row(row) == grew
             # free columns: those not in the span of the columns before them
             def prefix(k):
-                return FFMatrix(p, [row[:k] for row in m.rows], ncols=k)
+                return FFMatrix(
+                    p, [{j: e for j, e in row.items() if j < k} for row in m.rows], k
+                )
 
             free = [j for j in range(ncols) if rank(prefix(j + 1)) == rank(prefix(j))]
             assert len(free) == len(basis)
@@ -137,12 +160,15 @@ def test_specialization_rank_crosscheck(rng):
             m = FFMatrix(
                 p,
                 [
-                    [
-                        random_element(rng, p, ["x", "y"], 2, allow_denominator=False)
-                        for _ in range(ncols)
-                    ]
+                    sparse(
+                        [
+                            random_element(rng, p, ["x", "y"], 2, allow_denominator=False)
+                            for _ in range(ncols)
+                        ]
+                    )
                     for _ in range(nrows)
                 ],
+                ncols,
             )
             symbolic = rank(m)
             assignment = {v: gf.rand(rng) for v in ("x", "y")}
@@ -150,7 +176,7 @@ def test_specialization_rank_crosscheck(rng):
             ok = True
             for row in m.rows:
                 out = []
-                for e in row:
+                for e in dense(p, row, ncols):
                     val = gf.eval_rational(e, assignment)
                     if val is None:
                         ok = False
@@ -180,7 +206,7 @@ def test_rank_on_constructed_rank_matrices(rng):
                 [random_element(rng, p, ["x", "y"], 2) for _ in range(ncols)]
                 for _ in range(r)
             ]
-            if rank(FFMatrix(p, seed_rows, ncols=ncols)) != r if r else False:
+            if rank(FFMatrix(p, [sparse(s) for s in seed_rows], ncols)) != r if r else False:
                 continue  # unlucky degenerate seed, skip
             rows = []
             for _ in range(nrows):
@@ -189,7 +215,7 @@ def test_rank_on_constructed_rank_matrices(rng):
                     c = random_element(rng, p, ["x"], 1)
                     acc = [a + c * e for a, e in zip(acc, s)]
                 rows.append(acc)
-            m = FFMatrix(p, rows, ncols=ncols)
+            m = FFMatrix(p, [sparse(a) for a in rows], ncols)
             assert rank(m) <= r
             assert rank(m) + len(kernel(m)) == ncols
 

@@ -4,7 +4,7 @@ import pytest
 
 from difftrap import parse, print_scenario, run
 from difftrap.cli import main as cli_main
-from difftrap.errors import InternalError, ScenarioError
+from difftrap.errors import ScenarioError
 from difftrap.forking import builtin_scenario, scenario_corpus
 from difftrap.presentation import OPAQUE
 
@@ -46,9 +46,10 @@ def test_parse_errors_carry_position():
     with pytest.raises(ScenarioError) as err:
         parse(MINIMAL + "ambient F\n  gens y\n  d1 y = 1\n")
     assert err.value.kind == "DUPLICATE_NAME"
-    with pytest.raises(ScenarioError) as err:
-        parse(MINIMAL + "query perfect NOPE\n")
-    assert err.value.kind == "UNKNOWN_NAME"
+    for query in ("perfect NOPE", "forking K nope over k compositum M order 1"):
+        with pytest.raises(ScenarioError) as err:
+            parse(MINIMAL + f"query {query}\n")
+        assert err.value.kind == "UNKNOWN_NAME"
 
 
 def test_duplicate_generator():
@@ -202,16 +203,25 @@ def test_trap_size_cap_message():
 
 def test_internal_error_in_validation_exits_3(monkeypatch, capsys):
     # embedding(M) of example-d1-constant searches an annihilator, so a
-    # witness that fails re-verification stops the run in validation
+    # witness that fails re-verification makes that check an INTERNAL entry
+    # of a complete report, and no query runs
     from difftrap.independence import AnnihilatorWitness
 
     monkeypatch.setattr(AnnihilatorWitness, "verify", lambda self: False)
-    with pytest.raises(InternalError):
-        run(parse(builtin_scenario("example-d1-constant")))
+    report = run(parse(builtin_scenario("example-d1-constant")))
+    assert report.validation_failed and report.results == []
     assert cli_main(["builtin", "example-d1-constant", "--run", "--json"]) == 3
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
-    assert "[INTERNAL]" in captured.err
+    validation = json.loads(captured.out)["validation"]
+    assert validation == report.validation
+    entry = validation["embedding(M)"]
+    assert entry["status"] == "ERROR"
+    assert entry["error"]["kind"] == "INTERNAL"
+    assert "re-verification" in entry["error"]["message"]
+    assert validation["embedding(K)"]["status"] == "TRUE"
+    assert cli_main(["builtin", "example-d1-constant", "--run"]) == 3
+    assert "validate embedding(M): ERROR  [INTERNAL]" in capsys.readouterr().out
 
 
 def test_internal_error_in_query_exits_3(monkeypatch, capsys):
