@@ -20,8 +20,6 @@ from .constants import (
     ConstantsResult,
     TrapCertificate,
     constants,
-    constants_at_stage,
-    kolchin_crosscheck,
     p_basis_of_constants_root,
     trap_up_to,
 )
@@ -66,14 +64,13 @@ from .pdecomp import (
     is_pth_power,
     p_decompose,
 )
-from .poly import Poly, PrimeField
+from .poly import Poly
 from .presentation import (
     OPAQUE,
     DiffPresentation,
     SubfieldDecl,
     check_commutation,
     check_embedding,
-    depth_budget,
     derive,
     derive_iter,
 )

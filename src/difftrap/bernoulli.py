@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .constants import constants
 from .errors import BadParameterError, InapplicableError
 from .independence import BaseSpec, default_config, linear_independent_over_pk
-from .poly import PrimeField
+from .poly import check_prime
 from .presentation import DiffPresentation, derive
 from .rational import RationalElement
 from .verdict import Verdict
@@ -25,7 +25,7 @@ class BernoulliSpec:
     variables: list | None = None
 
     def __post_init__(self):
-        PrimeField(self.p)
+        check_prime(self.p)
         self.exponents = list(self.exponents)
         if not self.exponents:
             raise BadParameterError("at least one equation required")
@@ -37,18 +37,6 @@ class BernoulliSpec:
                 self.variables = [f"a{i + 1}" for i in range(len(self.exponents))]
         if len(self.variables) != len(self.exponents):
             raise BadParameterError("one variable per exponent")
-
-    def tower_form(self, i):
-        """Write n_i - 1 = p^k * m with p not dividing m; None when n_i = 1."""
-        n = self.exponents[i]
-        if n == 1:
-            return None
-        r = n - 1
-        k = 0
-        while r % self.p == 0:
-            r //= self.p
-            k += 1
-        return k, r
 
 
 def make_bernoulli(spec):
@@ -107,19 +95,13 @@ def leibniz_reduce(p, n):
     Applicable exactly when p does not divide n - 1; the returned verdict
     records the symbolic check of d(X) = 1 under d(T) = T^n.
     """
-    PrimeField(p)
+    check_prime(p)
     if (n - 1) % p == 0:
         raise InapplicableError(
             f"n - 1 = {n - 1} is divisible by p = {p}; the substitution "
             f"T^(1-n)/(1-n) collapses"
         )
-    pres = DiffPresentation(
-        f"bernoulli({n})",
-        p,
-        1,
-        ["T"],
-        [{"T": RationalElement.var(p, "T") ** n}],
-    )
+    pres = make_bernoulli(BernoulliSpec(p, [n], ["T"]))
     t = pres.element("T")
     inv = pow((1 - n) % p, p - 2, p)
     x = t ** (1 - n) * inv
@@ -134,19 +116,13 @@ def leibniz_reduce(p, n):
 
 def power_map_check(p, k, m):
     """b = m*a^m solves d(X) = X^{p^k + 1} when d(a) = a^{p^k m + 1}."""
-    PrimeField(p)
+    check_prime(p)
     if k <= 0:
         raise BadParameterError("k must be positive")
     if m == 0 or m % p == 0:
         raise BadParameterError("m must be nonzero and prime to p")
     n = p**k * m + 1
-    pres = DiffPresentation(
-        f"bernoulli({n})",
-        p,
-        1,
-        ["a"],
-        [{"a": RationalElement.var(p, "a") ** n}],
-    )
+    pres = make_bernoulli(BernoulliSpec(p, [n]))
     b = pres.element("a") ** m * m
     lhs = derive(b, 0, pres)
     rhs = b ** (p**k + 1)

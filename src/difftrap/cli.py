@@ -12,7 +12,7 @@ from pathlib import Path
 from .errors import BadParameterError, InternalError, ScenarioError
 from .forking import BUILTIN_NAMES, builtin_scenario, scenario_corpus
 from .independence import EngineConfig
-from .scenario import parse, print_scenario, run
+from .scenario import parse, run
 
 
 def _config_from_args(args):

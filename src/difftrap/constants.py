@@ -34,7 +34,7 @@ from .independence import (
 )
 from .linalg import FFMatrix, kernel
 from .pdecomp import all_pmonomials, frobenius_inverse, is_pth_power, p_decompose
-from .presentation import OPAQUE, DiffPresentation, derive, derive_word
+from .presentation import OPAQUE, derive, derive_word
 from .rational import RationalElement
 from .verdict import Verdict
 
@@ -92,66 +92,22 @@ def constants(pres, config=None):
                 raise DepthExceededError(
                     f"constants of {pres.name!r} need d{i + 1} {v}"
                 )
-    return _constants_kernel(pres, pres, config, frontier=[])
+    return _constants_kernel(pres, config)
 
 
-def constants_at_stage(pres, config=None):
-    """Constants kernel with opaque frontier images treated as fresh
-    transcendentals.
-
-    Every opaque image is replaced by a new free variable; the kernel is then
-    computed over the enlarged coefficient field.  The resulting dimension
-    can only overcount the true stage constants, so "no new constants" style
-    comparisons stay sound.
-    """
-    config = config or default_config()
-    fresh = []
-    images = []
-    for i in range(pres.m):
-        imap = {}
-        for v in pres.vars:
-            img = pres.image(v, i)
-            if img is OPAQUE:
-                name = f"{v}__d{i + 1}"
-                while name in pres.vars or name in fresh:
-                    name += "_"
-                fresh.append(name)
-                imap[v] = name  # resolved after all names are known
-            else:
-                imap[v] = img
-        images.append(imap)
-    if not fresh:
-        return constants(pres, config)
-    extended_vars = tuple(pres.vars) + tuple(fresh)
-    resolved = []
-    for imap in images:
-        out = {}
-        for v, img in imap.items():
-            out[v] = (
-                RationalElement.var(pres.p, img) if isinstance(img, str) else img
-            )
-        for name in fresh:
-            out[name] = OPAQUE
-        resolved.append(out)
-    extended = DiffPresentation(
-        f"{pres.name}+frontier", pres.p, pres.m, extended_vars, resolved
-    )
-    return _constants_kernel(pres, extended, config, frontier=fresh)
-
-
-def _constants_kernel(pres, working, config, frontier):
+def _constants_kernel(pres, config):
     _check_pmonomial_cap(pres, config)
     p = pres.p
     pmons = all_pmonomials(p, pres.vars)
     index = {w: k for k, w in enumerate(pmons)}
     zero = RationalElement.zero(p)
-    # conditions: for each derivation and target p-monomial v of the working
-    # presentation, sum_w c_w * delta_{w, v} = 0
+    # conditions: for each derivation and target p-monomial v,
+    # sum_w c_w * delta_{w, v} = 0
     condition_rows = {}
     for i in range(pres.m):
         for w in pmons:
-            image = derive(w.as_element(), i, working)
-            decomp = p_decompose(image, working.vars)
+            image = derive(w.as_element(), i, pres)
+            decomp = p_decompose(image, pres.vars)
             for v, coeff in decomp.coords.items():
                 condition_rows.setdefault((i, v), {})[index[w]] = coeff
     matrix = FFMatrix(p, list(condition_rows.values()), len(pmons))
@@ -169,17 +125,11 @@ def _constants_kernel(pres, working, config, frontier):
             if c.is_zero():
                 continue
             elem = elem + (c**p) * w.as_element()
-        # a candidate that involves a fresh frontier variable, or needs an
-        # opaque derivative, cannot be differentiated and is not re-checked
-        if not (elem.variables() & set(frontier)):
-            for i in range(pres.m):
-                try:
-                    if not derive(elem, i, working).is_zero():
-                        raise InternalError(
-                            f"constant candidate {elem} fails d{i + 1} = 0"
-                        )
-                except DepthExceededError:
-                    pass
+        for i in range(pres.m):
+            if not derive(elem, i, pres).is_zero():
+                raise InternalError(
+                    f"constant candidate {elem} fails d{i + 1} = 0"
+                )
         basis.append(elem)
     return ConstantsResult(
         presentation=pres,
@@ -283,68 +233,3 @@ def trap_up_to(M, sub, ambient, order, config=None, result=None):
     else:
         out = Verdict.inconclusive(bound=verdict.bound, order=order, family=members)
     return out, certificate
-
-
-def kolchin_crosscheck(M_base, adjoined, config=None, depth=1):
-    """No new constants appear after adjoining free derivative towers.
-
-    Each adjoined variable gets a truncated tower of fresh derivatives
-    (depth many defined stages, then opaque); the constants dimension of the
-    extended stage must match the base dimension.  For several derivations
-    only depth-1 towers are supported.
-    """
-    config = config or default_config()
-    if depth < 1:
-        raise BadParameterError("tower depth must be at least 1")
-    adjoined = list(adjoined)
-    base_result = constants(M_base, config)
-    if not adjoined:
-        return Verdict.true(
-            note="nothing adjoined", dim=base_result.dim
-        )
-    if M_base.m > 1 and depth != 1:
-        raise BadParameterError("towers with several derivations support depth 1 only")
-    p = M_base.p
-    new_vars = []
-    images = [dict() for _ in range(M_base.m)]
-    for i in range(M_base.m):
-        for v in M_base.vars:
-            images[i][v] = M_base.image(v, i)
-    for a in adjoined:
-        if a in M_base.vars:
-            raise BadParameterError(f"{a!r} is already a generator")
-        if M_base.m == 1:
-            chain = [a] + [f"{a}{k}" for k in range(1, depth + 1)]
-            new_vars.extend(chain)
-            for lo, hi in zip(chain, chain[1:]):
-                images[0][lo] = RationalElement.var(p, hi)
-            images[0][chain[-1]] = OPAQUE
-        else:
-            new_vars.append(a)
-            for i in range(M_base.m):
-                name = f"{a}_{i + 1}"
-                new_vars.append(name)
-                images[i][a] = RationalElement.var(p, name)
-    if M_base.m > 1:
-        for name in new_vars:
-            for i in range(M_base.m):
-                images[i].setdefault(name, OPAQUE)
-    stage_vars = tuple(M_base.vars) + tuple(new_vars)
-    stage = DiffPresentation(
-        f"{M_base.name}+towers", p, M_base.m, stage_vars, images
-    )
-    stage_result = constants_at_stage(stage, config)
-    ok = stage_result.dim == base_result.dim
-    if ok:
-        return Verdict.true(
-            base_dim=base_result.dim,
-            stage_dim=stage_result.dim,
-            base_basis=base_result.basis_strings(),
-            stage_basis=stage_result.basis_strings(),
-        )
-    return Verdict.false(
-        kind="new-constants",
-        base_dim=base_result.dim,
-        stage_dim=stage_result.dim,
-        stage_basis=stage_result.basis_strings(),
-    )

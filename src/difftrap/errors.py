@@ -83,9 +83,3 @@ class ScenarioError(WorkbenchError):
             where = f" (line {line}" + (f", col {column}" if column is not None else "") + ")"
         tok = f" near {token!r}" if token else ""
         super().__init__(f"{kind}: {message}{where}{tok}")
-
-
-class ValidationError(WorkbenchError):
-    """A scenario failed commutation or embedding validation."""
-
-    kind = "VALIDATION"

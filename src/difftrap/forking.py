@@ -34,17 +34,13 @@ class ForkingVerdict:
     overall: Verdict
     diagnostics: dict
 
-    def to_jsonable(self, with_certificate=True):
+    def to_jsonable(self):
         return {
-            "acf": self.acf_part.to_jsonable(with_certificate),
-            "trap": self.trap_part.to_jsonable(with_certificate),
-            "overall": self.overall.to_jsonable(with_certificate),
+            "acf": self.acf_part.to_jsonable(),
+            "trap": self.trap_part.to_jsonable(),
+            "overall": self.overall.to_jsonable(),
             "diagnostics": self.diagnostics,
         }
-
-
-def _interval(value, exact, size):
-    return (value, value if exact else size)
 
 
 def check_acf_independence(K, L, k, ambient, config=None):

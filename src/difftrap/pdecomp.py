@@ -108,9 +108,6 @@ class PDecomposition:
     def coefficient(self, w):
         return self.coords.get(w, RationalElement.zero(self.p))
 
-    def is_pure_power(self):
-        return set(self.coords) <= {PMonomial.one(self.p)}
-
     def __eq__(self, other):
         return (
             isinstance(other, PDecomposition)
@@ -188,23 +185,6 @@ def frobenius_inverse(f):
     num = _root_poly(f.num, p)
     den = _root_poly(f.den, p)
     return RationalElement(num, den, _canonical=True)
-
-
-def pth_root_tower(f, max_steps=64):
-    """Peel p-th roots until the element is no longer a p-th power.
-
-    Returns (root, k) with root^(p^k) = f.  Scalars are their own roots, so
-    peeling stops when a step no longer changes the element.
-    """
-    k = 0
-    cur = f
-    while k < max_steps and is_pth_power(cur):
-        nxt = frobenius_inverse(cur)
-        if nxt == cur:
-            break
-        cur = nxt
-        k += 1
-    return cur, k
 
 
 def _root_poly(g, p):

@@ -30,34 +30,10 @@ def is_prime(n):
     return True
 
 
-class PrimeField:
-    """The prime field F_p: scalar arithmetic mod p.
-
-    Every scalar is its own p-th root (Frobenius fixes F_p), which the
-    p-decomposition code exploits.
-    """
-
-    __slots__ = ("p",)
-
-    def __init__(self, p):
-        if not isinstance(p, int) or not is_prime(p):
-            raise BadParameterError(f"{p!r} is not a prime modulus")
-        self.p = p
-
-    def inv(self, a):
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return pow(a, self.p - 2, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
+def check_prime(p):
+    """Reject anything but a prime modulus p for F_p."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise BadParameterError(f"{p!r} is not a prime modulus")
 
 
 def mono_mul(m1, m2):
@@ -180,11 +156,6 @@ class Poly:
                 out.add(v)
         return out
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m in self.terms)
-
     def degree_in(self, var):
         d = 0
         for m in self.terms:
@@ -266,16 +237,6 @@ class Poly:
             return self
         p = self.p
         return Poly(p, {m: (k * c) % p for m, k in self.terms.items()}, _normalized=True)
-
-    def mul_term(self, mono, coeff):
-        coeff %= self.p
-        if coeff == 0:
-            return Poly.zero(self.p)
-        p = self.p
-        out = {}
-        for m, c in self.terms.items():
-            out[mono_mul(m, mono)] = (c * coeff) % p
-        return Poly(p, out, _normalized=True)
 
     def __pow__(self, n):
         if n < 0:
@@ -380,14 +341,6 @@ def exact_div(f, g):
     if rem:
         raise InexactDivisionError(f"({f}) not divisible by ({g})")
     return Poly(p, q, _normalized=True)
-
-
-def divides(g, f):
-    try:
-        exact_div(f, g)
-        return True
-    except InexactDivisionError:
-        return False
 
 
 # -- gcd machinery (primitive PRS, recursive in the variable count) -------

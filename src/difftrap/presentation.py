@@ -22,7 +22,7 @@ from .errors import (
     UnknownVariableError,
 )
 from .expr import parse_expr
-from .poly import PrimeField, Poly
+from .poly import Poly, check_prime
 from .rational import RationalElement, substitute
 from .verdict import Verdict
 
@@ -46,7 +46,7 @@ class DiffPresentation:
     """F_p(vars) with m commuting derivations given on the generators."""
 
     def __init__(self, name, p, m, variables, images):
-        PrimeField(p)
+        check_prime(p)
         if m < 1:
             raise BadParameterError("at least one derivation required")
         variables = tuple(variables)
@@ -156,26 +156,6 @@ def derive_word(f, word, pres):
     for i, e in enumerate(word):
         cur = derive_iter(cur, i, e, pres)
     return cur
-
-
-def depth_budget(pres, cap=8):
-    """Per generator, the largest order below cap at which every derivation
-    chain stays inside the presentation."""
-    out = {}
-    for v in pres.vars:
-        best = cap
-        for i in range(pres.m):
-            order = 0
-            cur = pres.element(v)
-            while order < cap:
-                try:
-                    cur = derive(cur, i, pres)
-                except DepthExceededError:
-                    break
-                order += 1
-            best = min(best, order)
-        out[v] = best
-    return out
 
 
 def check_commutation(pres):

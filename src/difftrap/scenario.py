@@ -36,7 +36,7 @@ import hashlib
 import json
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .bernoulli import bernoulli_perfectness
@@ -51,7 +51,6 @@ from .expr import parse_expr
 from .forking import check_forking
 from .independence import (
     BaseSpec,
-    EngineConfig,
     default_config,
     p_independent,
     separably_independent,
@@ -270,10 +269,10 @@ def parse(text, name="scenario"):
         raise ScenarioError("missing prime or derivations", line=1)
     if ambient_spec is None:
         raise ScenarioError("missing ambient presentation", line=1)
-    ambient = _build_presentation(ambient_spec, prime, derivations, own=True)
+    ambient = _build_presentation(ambient_spec, prime, derivations)
     fields = {}
     for spec in field_specs:
-        pres = _build_presentation(spec, prime, derivations, own=True)
+        pres = _build_presentation(spec, prime, derivations)
         embedding = {}
         for v in pres.vars:
             if v not in spec.embeds:
@@ -306,7 +305,7 @@ def parse(text, name="scenario"):
     return scenario
 
 
-def _build_presentation(spec, prime, derivations, own):
+def _build_presentation(spec, prime, derivations):
     if spec.gens is None:
         raise ScenarioError(f"block {spec.name!r} has no gens line", line=spec.line)
     varset = set(spec.gens)
@@ -477,7 +476,6 @@ class Report:
     scenario: Scenario
     validation: dict
     results: list
-    config: EngineConfig
     with_certificates: bool = False
     with_timings: bool = False
 
@@ -592,7 +590,6 @@ def run(
         scenario=scenario,
         validation=validation,
         results=[],
-        config=config,
         with_certificates=with_certificates,
         with_timings=with_timings,
     )
@@ -678,7 +675,7 @@ def _run_query(scenario, query, config):
         return {
             "status": forking.overall.status,
             "bound": forking.overall.bound,
-            "certificate": forking.to_jsonable(with_certificate=True),
+            "certificate": forking.to_jsonable(),
             "detail": {
                 "acf": forking.acf_part.describe(),
                 "trap": forking.trap_part.describe(),

@@ -48,12 +48,11 @@ class Verdict:
             return f"INCONCLUSIVE_UP_TO({self.bound})"
         return self.status
 
-    def to_jsonable(self, with_certificate=True):
+    def to_jsonable(self):
         out = {"status": self.status}
         if self.bound is not None:
             out["bound"] = self.bound
-        if with_certificate:
-            out["certificate"] = _jsonable(self.certificate)
+        out["certificate"] = _jsonable(self.certificate)
         return out
 
 

@@ -16,10 +16,8 @@ from difftrap import (
     bernoulli_perfectness,
     builtin_scenario,
     constants,
-    constants_at_stage,
     derive,
     find_annihilator,
-    kolchin_crosscheck,
     leibniz_reduce,
     p_independent,
     parse,
@@ -254,32 +252,6 @@ def test_criterion_8_srour_scenario():
         witness_ok and degree_ok,
         f"p-independence FALSE with re-verified witness; trdeg verdict {t.describe()}",
     )
-
-
-def test_criterion_9_adjoined_stage_perfect():
-    stage = presentation(
-        "stage", 2, {"a": "1", "lam": "lam1", "lam1": None}
-    )
-    res = constants_at_stage(stage)
-    report(
-        9,
-        res.perfect and res.dim == 1,
-        "adjoining the root and its first derivative makes the stage perfect",
-    )
-
-
-def test_criterion_10_kolchin_crosscheck():
-    first = kolchin_crosscheck(presentation("B1", 2, {"x": "1"}), ["lam"])
-    second = kolchin_crosscheck(
-        presentation("B2", 2, {"x": "1", "y": "0"}), ["lam"]
-    )
-    ok = (
-        first.is_true
-        and first.certificate["stage_dim"] == 1
-        and second.is_true
-        and second.certificate["stage_dim"] == 2
-    )
-    report(10, ok, "no new constants after adjoining free derivative towers")
 
 
 def test_criterion_11_checker_properties():

@@ -27,13 +27,6 @@ def test_make_bernoulli_examples():
     assert str(pres.image("a", 0)) == "1/a^2"
 
 
-def test_tower_form():
-    spec = BernoulliSpec(2, [3, 5, 1])
-    assert spec.tower_form(0) == (1, 1)
-    assert spec.tower_form(1) == (2, 1)
-    assert spec.tower_form(2) is None
-
-
 def test_pmonomial_derivative_examples():
     assert verify_pmonomial_derivative(2, [1], [1]).is_true
     assert verify_pmonomial_derivative(3, [2, 1], [1, 2]).is_true

@@ -3,9 +3,7 @@ import pytest
 from difftrap import (
     SubfieldDecl,
     constants,
-    constants_at_stage,
     derive,
-    kolchin_crosscheck,
     p_basis_of_constants_root,
     trap_up_to,
 )
@@ -42,6 +40,8 @@ def test_constants_dim_two():
     assert sorted(res.basis_strings()) == ["1", "y"]
     for c in res.kernel_basis:
         assert derive(c, 0, res.presentation).is_zero()
+    two = presentation("B", 2, [{"x": "1", "y": "0"}, {"x": "0", "y": "0"}], m=2)
+    assert constants(two).dim == 2
 
 
 def test_constants_bernoulli_pair_perfect():
@@ -115,13 +115,6 @@ def test_trap_depth_exceeded():
         trap_up_to(sub.pres, sub, amb, 2)
 
 
-def test_lemma_stage_perfect_after_adjoining_derivatives():
-    # adjoin the root and its first derivative; the stage is perfect
-    stage = presentation("stage", 2, {"a": "1", "lam": "lam1", "lam1": None})
-    res = constants_at_stage(stage)
-    assert res.perfect and res.dim == 1
-
-
 def test_extracted_basis_spans_kernel():
     # p-monomials of the extracted set are independent over M^p and span
     # the constants: kernel dimension equals p^|B|
@@ -143,32 +136,3 @@ def test_derivative_orders_flag():
     assert len(pure) == 4 and (1, 1) not in pure
     # single derivation: both conventions coincide
     assert derivative_orders(1, 3, mixed=True) == derivative_orders(1, 3, mixed=False)
-
-
-def test_kolchin_crosscheck_examples():
-    base1 = presentation("B1", 2, {"x": "1"})
-    v = kolchin_crosscheck(base1, ["lam"])
-    assert v.is_true and v.certificate["stage_dim"] == 1
-    base2 = presentation("B2", 2, {"x": "1", "y": "0"})
-    v = kolchin_crosscheck(base2, ["lam"])
-    assert v.is_true and v.certificate["stage_dim"] == 2
-    assert sorted(v.certificate["stage_basis"]) == ["1", "y"]
-    assert kolchin_crosscheck(base1, []).is_true
-
-
-def test_stage_decomposition_consistency():
-    # sanity for the frontier construction: fresh names do not collide
-    stage = presentation("S", 2, {"lam": None, "lam__d1": "0"})
-    res = constants_at_stage(stage)
-    assert res.dim >= 1
-
-
-def test_kolchin_crosscheck_two_derivations():
-    # the depth-1 tower adds one fresh symbol per derivation, pushing the
-    # stage to five generators; lift the row cap accordingly
-    base = presentation(
-        "B", 2, [{"x": "1", "y": "0"}, {"x": "0", "y": "0"}], m=2
-    )
-    assert constants(base).dim == 2
-    v = kolchin_crosscheck(base, ["lam"], EngineConfig(pmonomial_cap_exponent=5))
-    assert v.is_true and v.certificate["stage_dim"] == 2

@@ -19,7 +19,7 @@ from difftrap import (
 from difftrap.errors import PreconditionError, SizeCapError
 from difftrap.independence import EngineConfig, root_closure
 from difftrap.linalg import kernel_mod_p
-from difftrap.pdecomp import pth_root_tower
+from difftrap.pdecomp import frobenius_inverse, is_pth_power
 from difftrap.poly import exact_div
 from difftrap.rational import RationalElement, common_denominator
 
@@ -260,6 +260,23 @@ def test_twisted_retry_over_the_cap_leaves_the_element_unproven():
     assert (value, exact) == (2, False)
     assert details["unproven"] == ["4*lam^7 + a"]
     assert "twisted_witnesses" not in details
+
+
+def pth_root_tower(f, max_steps=64):
+    """Peel p-th roots until the element is no longer a p-th power.
+
+    Returns (root, k) with root^(p^k) = f.  Scalars are their own roots, so
+    peeling stops when a step no longer changes the element.
+    """
+    k = 0
+    cur = f
+    while k < max_steps and is_pth_power(cur):
+        nxt = frobenius_inverse(cur)
+        if nxt == cur:
+            break
+        cur = nxt
+        k += 1
+    return cur, k
 
 
 def enumerated_closure(elements, p, cap=4096, passes=8):

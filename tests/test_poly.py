@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from difftrap.errors import BadParameterError, InexactDivisionError
-from difftrap.poly import Poly, PrimeField, exact_div, formal_partial, gcd, lcm, monic
+from difftrap.poly import Poly, check_prime, exact_div, formal_partial, gcd, lcm, monic
 
 from conftest import random_poly
 
@@ -16,18 +16,12 @@ def P(p, text):
 
 
 def test_prime_field_validation():
-    PrimeField(2)
-    PrimeField(13)
+    check_prime(2)
+    check_prime(13)
     with pytest.raises(BadParameterError):
-        PrimeField(1)
+        check_prime(1)
     with pytest.raises(BadParameterError):
-        PrimeField(6)
-
-
-def test_prime_field_inverse():
-    f = PrimeField(5)
-    for a in range(1, 5):
-        assert (a * f.inv(a)) % 5 == 1
+        check_prime(6)
 
 
 def test_scalars_are_their_own_pth_roots():

@@ -7,7 +7,6 @@ from difftrap import (
     SubfieldDecl,
     check_commutation,
     check_embedding,
-    depth_budget,
     derive,
     derive_iter,
     parse_expr,
@@ -53,9 +52,6 @@ def test_depth_exceeded():
     pres = presentation("P", 2, {"x": "1", "y": None})
     with pytest.raises(DepthExceededError):
         derive(pres.parse("y"), 0, pres)
-    assert depth_budget(pres, cap=5) == {"x": 5, "y": 0}
-    chain = presentation("C", 2, {"lam": "lam1", "lam1": "lam2", "lam2": None})
-    assert depth_budget(chain, cap=5) == {"lam": 2, "lam1": 1, "lam2": 0}
 
 
 def test_unknown_variable():
